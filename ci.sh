@@ -31,6 +31,12 @@ cargo bench --no-run --offline
 # so it is #[ignore]d in the debug tier and runs here in release.
 cargo test -q --release --offline --test sched_diff -- --ignored
 
+# Benchmark fidelity: perfbench is its own workspace, so the workspace
+# test run above skips it. Its suite checks that the hand-built soaks
+# leave the same MetricsSnapshot as tm_core::load::run / scale::run,
+# traced and untraced, and that BENCHMARK.json names the printed metrics.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Live determinism check: the smoke campaign (2 cheap scenarios x 3 seeds)
 # must produce byte-identical stdout at --workers 1 and --workers 2. The
 # wall-clock BENCH_JSON records go to stderr precisely so they stay out of

@@ -1,6 +1,12 @@
 //! The controller's topology view: directed switch-to-switch links inferred
 //! from LLDP, with refresh/expiry and shortest-path search.
+//!
+//! Every dataplane Packet-In asks which ports are infrastructure and which
+//! are on the broadcast tree. Like Floodlight's topology instance, those
+//! answers come from an index built on first query after the link set
+//! changes, not recomputed per packet; refreshing a known link keeps it.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sdn_types::{DatapathId, Duration, PortNo, SimTime, SwitchPort};
@@ -46,6 +52,64 @@ pub struct LinkState {
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     links: BTreeMap<DirectedLink, LinkState>,
+    /// Views derived from the key set of `links`; dropped whenever a link
+    /// is added or removed, rebuilt on the next query.
+    index: OnceCell<Index>,
+}
+
+/// What the per-packet queries read, derived from the link set alone.
+#[derive(Clone, Debug)]
+struct Index {
+    /// Every port that is an endpoint of a known link.
+    endpoints: BTreeSet<SwitchPort>,
+    /// dpid -> outgoing links, in link-key order (BFS tie-breaking).
+    out: BTreeMap<DatapathId, Vec<DirectedLink>>,
+    /// The ports on the BFS spanning tree (see [`Topology::spanning_tree`]).
+    tree: BTreeSet<SwitchPort>,
+}
+
+impl Index {
+    fn build(links: &BTreeMap<DirectedLink, LinkState>) -> Index {
+        let mut endpoints = BTreeSet::new();
+        let mut out: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+        // Undirected adjacency: dpid -> links out of it (either direction).
+        let mut undirected: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
+        for link in links.keys() {
+            endpoints.insert(link.src);
+            endpoints.insert(link.dst);
+            out.entry(link.src.dpid).or_default().push(*link);
+            undirected.entry(link.src.dpid).or_default().push(*link);
+            undirected
+                .entry(link.dst.dpid)
+                .or_default()
+                .push(link.reversed());
+        }
+        let mut tree: BTreeSet<SwitchPort> = BTreeSet::new();
+        let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
+        for &root in undirected.keys() {
+            if !visited.insert(root) {
+                continue;
+            }
+            let mut queue = VecDeque::from([root]);
+            while let Some(node) = queue.pop_front() {
+                let Some(edges) = undirected.get(&node) else {
+                    continue;
+                };
+                for link in edges {
+                    if visited.insert(link.dst.dpid) {
+                        tree.insert(link.src);
+                        tree.insert(link.dst);
+                        queue.push_back(link.dst.dpid);
+                    }
+                }
+            }
+        }
+        Index {
+            endpoints,
+            out,
+            tree,
+        }
+    }
 }
 
 impl Topology {
@@ -66,6 +130,7 @@ impl Topology {
                 false
             }
             None => {
+                self.index.take();
                 self.links.insert(
                     link,
                     LinkState {
@@ -81,7 +146,11 @@ impl Topology {
 
     /// Removes a link explicitly. Returns `true` if it existed.
     pub fn remove(&mut self, link: &DirectedLink) -> bool {
-        self.links.remove(link).is_some()
+        let existed = self.links.remove(link).is_some();
+        if existed {
+            self.index.take();
+        }
+        existed
     }
 
     /// Expires links not re-verified within `timeout`, returning them.
@@ -93,7 +162,7 @@ impl Topology {
             .map(|(l, _)| *l)
             .collect();
         for l in &expired {
-            self.links.remove(l);
+            self.remove(l);
         }
         expired
     }
@@ -115,7 +184,7 @@ impl Topology {
 
     /// Returns `true` if the link is currently known.
     pub fn contains(&self, link: &DirectedLink) -> bool {
-        self.links.contains_key(&link.clone())
+        self.links.contains_key(link)
     }
 
     /// Iterates all links.
@@ -123,10 +192,14 @@ impl Topology {
         self.links.iter()
     }
 
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Index::build(&self.links))
+    }
+
     /// Returns `true` if `port` is an endpoint of any known link — an
     /// "infrastructure port" from which host learning is suppressed.
     pub fn is_infrastructure_port(&self, port: SwitchPort) -> bool {
-        self.links.keys().any(|l| l.src == port || l.dst == port)
+        self.index().endpoints.contains(&port)
     }
 
     /// Shortest path (by hop count, BFS) from switch `from` to switch `to`.
@@ -137,11 +210,7 @@ impl Topology {
         if from == to {
             return Some(Vec::new());
         }
-        // Adjacency: dpid -> outgoing links.
-        let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
-        for link in self.links.keys() {
-            adj.entry(link.src.dpid).or_default().push(*link);
-        }
+        let adj = &self.index().out;
         let mut prev: BTreeMap<DatapathId, DirectedLink> = BTreeMap::new();
         let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
         let mut queue = VecDeque::new();
@@ -189,42 +258,15 @@ impl Topology {
     /// link — delivers a broadcast to every switch exactly once even when
     /// the physical fabric has cycles (fat-tree, ring), which is how real
     /// controllers avoid broadcast storms without STP on the switches.
-    pub fn spanning_tree(&self) -> BTreeSet<SwitchPort> {
-        // Undirected adjacency: dpid -> links out of it (either direction).
-        let mut adj: BTreeMap<DatapathId, Vec<DirectedLink>> = BTreeMap::new();
-        for link in self.links.keys() {
-            adj.entry(link.src.dpid).or_default().push(*link);
-            adj.entry(link.dst.dpid).or_default().push(link.reversed());
-        }
-        let mut tree: BTreeSet<SwitchPort> = BTreeSet::new();
-        let mut visited: BTreeSet<DatapathId> = BTreeSet::new();
-        let roots: Vec<DatapathId> = adj.keys().copied().collect();
-        for root in roots {
-            if visited.contains(&root) {
-                continue;
-            }
-            visited.insert(root);
-            let mut queue = VecDeque::new();
-            queue.push_back(root);
-            while let Some(node) = queue.pop_front() {
-                if let Some(out) = adj.get(&node) {
-                    for link in out {
-                        if visited.insert(link.dst.dpid) {
-                            tree.insert(link.src);
-                            tree.insert(link.dst);
-                            queue.push_back(link.dst.dpid);
-                        }
-                    }
-                }
-            }
-        }
-        tree
+    pub fn spanning_tree(&self) -> &BTreeSet<SwitchPort> {
+        &self.index().tree
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_prop::prelude::*;
 
     fn sp(d: u64, p: u16) -> SwitchPort {
         SwitchPort::new(DatapathId::new(d), PortNo::new(p))
@@ -243,6 +285,16 @@ mod tests {
         t.observe(link((2, 2), (3, 1)), now, None);
         t.observe(link((3, 1), (2, 2)), now, None);
         t
+    }
+
+    /// A topology holding exactly `t`'s links, whose index has never been
+    /// built: the oracle for `t`'s index.
+    fn rebuilt(t: &Topology) -> Topology {
+        let mut fresh = Topology::new();
+        for (l, _) in t.links() {
+            fresh.observe(*l, SimTime::ZERO, None);
+        }
+        fresh
     }
 
     #[test]
@@ -357,8 +409,9 @@ mod tests {
         // Every switch is on the tree.
         let dpids: BTreeSet<u64> = tree.iter().map(|p| p.dpid.raw()).collect();
         assert_eq!(dpids, BTreeSet::from([1, 2, 3, 4]));
-        // Deterministic: recomputing yields the same tree.
-        assert_eq!(t.spanning_tree(), tree);
+        // Deterministic: a topology rebuilt from the same links yields the
+        // same tree.
+        assert_eq!(rebuilt(&t).spanning_tree(), tree);
     }
 
     #[test]
@@ -366,8 +419,70 @@ mod tests {
         let t = line();
         let tree = t.spanning_tree();
         assert_eq!(
-            tree,
+            *tree,
             BTreeSet::from([sp(1, 2), sp(2, 1), sp(2, 2), sp(3, 1)])
         );
+    }
+
+    /// Switches 1..=5 with ports 1..=3: small enough that random links
+    /// collide, form cycles and leave some switches disconnected.
+    const DPIDS: std::ops::Range<u64> = 1..6;
+    const PORTS: std::ops::Range<u16> = 1..4;
+
+    tm_prop! {
+        /// The index never goes stale. Each step is one mutation — observe
+        /// a new link, refresh a known one, remove a known one, or expire
+        /// at a later time — chosen by `op`, with `pick` selecting the
+        /// link. After every step (so the index is built before the next
+        /// mutation) the indexed answers must equal a linear scan of
+        /// `links()` and a topology rebuilt from them.
+        #[test]
+        fn index_tracks_every_link_set_change(
+            pool in collection::vec(((DPIDS, PORTS), (DPIDS, PORTS)), 1..24),
+            steps in collection::vec((0u8..4, 0usize..64, 0u64..8, 1u64..20), 1..48),
+        ) {
+            let pool: Vec<DirectedLink> = pool
+                .iter()
+                .map(|&(a, b)| link(a, b))
+                .collect();
+            let mut t = Topology::new();
+            let mut now = SimTime::ZERO;
+            for &(op, pick, dt_s, timeout_s) in &steps {
+                now += Duration::from_secs(dt_s);
+                let known: Vec<DirectedLink> = t.links().map(|(l, _)| *l).collect();
+                let absent: Vec<DirectedLink> =
+                    pool.iter().copied().filter(|l| !t.contains(l)).collect();
+                match op {
+                    0 if !absent.is_empty() => {
+                        prop_assert!(t.observe(absent[pick % absent.len()], now, None));
+                    }
+                    1 if !known.is_empty() => {
+                        prop_assert!(!t.observe(known[pick % known.len()], now, None));
+                    }
+                    2 if !known.is_empty() => {
+                        prop_assert!(t.remove(&known[pick % known.len()]));
+                    }
+                    _ => {
+                        t.expire(now, Duration::from_secs(timeout_s));
+                    }
+                }
+
+                for d in DPIDS {
+                    for p in PORTS {
+                        let port = sp(d, p);
+                        let scanned = t.links().any(|(l, _)| l.src == port || l.dst == port);
+                        prop_assert_eq!(t.is_infrastructure_port(port), scanned, "{port:?}");
+                    }
+                }
+                let fresh = rebuilt(&t);
+                prop_assert_eq!(t.spanning_tree(), fresh.spanning_tree());
+                for from in DPIDS {
+                    for to in DPIDS {
+                        let (from, to) = (DatapathId::new(from), DatapathId::new(to));
+                        prop_assert_eq!(t.shortest_path(from, to), fresh.shortest_path(from, to));
+                    }
+                }
+            }
+        }
     }
 }
