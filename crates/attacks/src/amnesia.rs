@@ -347,7 +347,7 @@ impl InBandRelayAttacker {
 
     fn tunnel_now(&mut self, ctx: &mut HostCtx<'_>, inner: &EthernetFrame, port: u16) {
         let info = ctx.info();
-        let dgram = UdpDatagram::new(port, port, inner.encode().to_vec());
+        let dgram = UdpDatagram::new(port, port, inner.encode_to_vec());
         let pkt = Ipv4Packet::new(info.ip, self.config.peer_ip, Transport::Udp(dgram));
         ctx.send_ipv4(self.config.peer_mac, pkt);
     }

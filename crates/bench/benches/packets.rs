@@ -1,5 +1,5 @@
-//! Microbenchmarks for packet encode/parse — the per-frame cost floor of
-//! the whole simulation.
+//! Microbenchmarks for packet encode/size/parse — the per-frame cost floor
+//! of the whole simulation.
 
 use bench::harness::{black_box, Bench};
 
@@ -63,6 +63,12 @@ fn main() {
     let encode = Bench::new("encode");
     for (name, frame) in frames() {
         encode.bench(name, || black_box(&frame).encode());
+    }
+
+    // Sizing is arithmetic: it must stay far below `encode/*`.
+    let wire_len = Bench::new("wire_len");
+    for (name, frame) in frames() {
+        wire_len.bench(name, || black_box(&frame).wire_len());
     }
 
     let parse = Bench::new("parse");

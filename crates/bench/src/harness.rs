@@ -9,7 +9,8 @@
 //!    lazy allocations settle before anything is recorded.
 //! 2. **Calibrate** an iteration count so each timed sample spans at
 //!    least ~2 ms, amortising clock-read overhead for nanosecond-scale
-//!    bodies.
+//!    bodies. This holds for bodies that consume a fresh setup product
+//!    too: the products are built untimed, ahead of the timed loop.
 //! 3. Record N samples (default 25) and report the **median**
 //!    per-iteration time — robust against scheduler noise in a way a
 //!    mean is not — alongside min/max for spread.
@@ -34,6 +35,9 @@ pub fn black_box<T>(x: T) -> T {
 const WARMUP: Duration = Duration::from_millis(20);
 const MIN_SAMPLE_TIME: Duration = Duration::from_millis(2);
 const DEFAULT_SAMPLES: u32 = 25;
+/// The most setup products alive at once in [`Bench::bench_with_setup`]:
+/// bounds its memory when a cheap body needs many iterations per sample.
+const SETUP_BATCH: u64 = 256;
 
 /// A benchmark suite: groups related measurements under one name and
 /// carries the sampling configuration.
@@ -88,8 +92,7 @@ impl Bench {
             black_box(f());
             warm_iters += 1;
         }
-        let est_ns = (warm_start.elapsed().as_nanos() as u64 / warm_iters.max(1)).max(1);
-        let iters = (MIN_SAMPLE_TIME.as_nanos() as u64 / est_ns).clamp(1, 10_000_000);
+        let iters = calibrated_iters(warm_start.elapsed(), warm_iters);
 
         let mut per_iter_ns = Vec::with_capacity(self.samples as usize);
         for _ in 0..self.samples {
@@ -103,27 +106,47 @@ impl Bench {
     }
 
     /// Measures `f` with a fresh, untimed `setup()` product per iteration
-    /// (the criterion `iter_batched` shape). Each sample is a single
-    /// timed call, so this suits bodies well above clock-read cost.
+    /// (the criterion `iter_batched` shape). Iterations are calibrated like
+    /// [`Self::bench`]'s, so each sample times at least ~2 ms of `f`; the
+    /// products are built ahead of the timed loop, at most 256 at a time.
     pub fn bench_with_setup<S, T>(
         &self,
         name: &str,
         mut setup: impl FnMut() -> S,
         mut f: impl FnMut(S) -> T,
     ) -> Summary {
-        // Two warmup runs are enough for the coarse bodies this shape is
-        // used for (whole-simulation and clone-heavy benches).
-        for _ in 0..2 {
-            black_box(f(setup()));
-        }
-        let mut per_iter_ns = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
+        // Warmup: at least two runs, then until ~20 ms have passed, timing
+        // only `f` for the per-iteration estimate.
+        let warm_start = Instant::now();
+        let mut warm_iters = 0u64;
+        let mut warm_busy = Duration::ZERO;
+        while warm_iters < 2 || warm_start.elapsed() < WARMUP {
             let input = setup();
             let start = Instant::now();
             black_box(f(input));
-            per_iter_ns.push(start.elapsed().as_nanos() as u64);
+            warm_busy += start.elapsed();
+            warm_iters += 1;
         }
-        self.report(name, summarize(per_iter_ns, 1))
+        let iters = calibrated_iters(warm_busy, warm_iters);
+
+        let mut per_iter_ns = Vec::with_capacity(self.samples as usize);
+        let mut inputs = Vec::with_capacity(iters.min(SETUP_BATCH) as usize);
+        for _ in 0..self.samples {
+            let mut busy = Duration::ZERO;
+            let mut left = iters;
+            while left > 0 {
+                let batch = left.min(SETUP_BATCH);
+                inputs.extend((0..batch).map(|_| setup()));
+                let start = Instant::now();
+                for input in inputs.drain(..) {
+                    black_box(f(input));
+                }
+                busy += start.elapsed();
+                left -= batch;
+            }
+            per_iter_ns.push(busy.as_nanos() as u64 / iters);
+        }
+        self.report(name, summarize(per_iter_ns, iters))
     }
 
     fn report(&self, name: &str, summary: Summary) -> Summary {
@@ -148,6 +171,13 @@ impl Bench {
         println!("BENCH_JSON {}", record.to_compact());
         summary
     }
+}
+
+/// The iterations per sample that make it span at least
+/// [`MIN_SAMPLE_TIME`], given `busy` time over `runs` warmup runs.
+fn calibrated_iters(busy: Duration, runs: u64) -> u64 {
+    let est_ns = (busy.as_nanos() as u64 / runs.max(1)).max(1);
+    (MIN_SAMPLE_TIME.as_nanos() as u64 / est_ns).clamp(1, 10_000_000)
 }
 
 /// Reduces raw per-iteration samples to the reported summary.
@@ -213,10 +243,22 @@ mod tests {
     }
 
     #[test]
-    fn bench_with_setup_excludes_setup() {
+    fn bench_with_setup_batches_sub_microsecond_bodies() {
+        // A body far below the clock-read cost must not be timed one call
+        // per sample.
         let bench = Bench::new("harness_test").samples(3);
-        let s = bench.bench_with_setup("sum_vec", || vec![1u64; 4096], |v| v.iter().sum::<u64>());
-        assert_eq!(s.iters_per_sample, 1);
+        let mut setups = 0u64;
+        let s = bench.bench_with_setup(
+            "sum_vec",
+            || {
+                setups += 1;
+                vec![1u64; 8]
+            },
+            |v| v.iter().sum::<u64>(),
+        );
+        assert!(s.iters_per_sample > 1, "{s:?}");
         assert_eq!(s.samples, 3);
+        // One fresh product per timed call: warmup plus every sample.
+        assert!(setups >= 2 + 3 * s.iters_per_sample);
     }
 }

@@ -268,7 +268,7 @@ impl SdnController {
                 OfMessage::PacketOut {
                     in_port: PortNo::NONE,
                     actions: vec![Action::Output(port.port_no)],
-                    data: frame.encode().to_vec(),
+                    data: frame.encode_to_vec(),
                 },
             );
             self.lldp_emitted += 1;

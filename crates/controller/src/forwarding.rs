@@ -39,7 +39,7 @@ pub fn handle_table_miss(
     frame: &EthernetFrame,
     flood_scope: Option<&[PortNo]>,
 ) -> (Vec<(DatapathId, OfMessage)>, bool) {
-    let data = frame.encode().to_vec();
+    let data = frame.encode_to_vec();
 
     // Broadcast/multicast or unknown unicast: flood at the reporting switch.
     let dst_loc = if frame.dst.is_multicast() {

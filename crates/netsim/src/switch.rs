@@ -230,15 +230,16 @@ pub(crate) fn declare_port_up(
     );
 }
 
-/// Emits `frame` out of physical port `port` on switch `dpid`.
+/// Emits `frame` (`wire_len` bytes on the wire) out of physical port
+/// `port` on switch `dpid`.
 pub(crate) fn emit_on_port(
     core: &mut SimCore,
     net: &mut NetState,
     dpid: DatapathId,
     port: PortNo,
     frame: &EthernetFrame,
+    wire_len: u64,
 ) {
-    let wire_len = frame.wire_len() as u64;
     // One port lookup does everything: stats, the jitter sample (core and
     // net are disjoint borrows), and the FIFO clamp.
     let (peer, at, sampled_at) = {
@@ -326,6 +327,8 @@ pub(crate) fn emit_outputs(
     outputs: &[PortNo],
     frame: &EthernetFrame,
 ) {
+    // Sized once: a flood emits the same frame on every port.
+    let wire_len = frame.wire_len() as u64;
     for &out in outputs {
         match out {
             PortNo::FLOOD | PortNo::ALL => {
@@ -339,7 +342,7 @@ pub(crate) fn emit_outputs(
                     None => continue,
                 };
                 for p in ports {
-                    emit_on_port(core, net, dpid, p, frame);
+                    emit_on_port(core, net, dpid, p, frame, wire_len);
                 }
             }
             PortNo::CONTROLLER => {
@@ -356,11 +359,11 @@ pub(crate) fn emit_outputs(
                     OfMessage::PacketIn {
                         in_port,
                         reason: PacketInReason::Action,
-                        data: frame.encode().to_vec(),
+                        data: frame.encode_to_vec(),
                     },
                 );
             }
-            physical => emit_on_port(core, net, dpid, physical, frame),
+            physical => emit_on_port(core, net, dpid, physical, frame, wire_len),
         }
     }
 }
@@ -438,7 +441,7 @@ pub(crate) fn handle_frame(
                 OfMessage::PacketIn {
                     in_port,
                     reason: PacketInReason::NoMatch,
-                    data: frame.encode().to_vec(),
+                    data: frame.encode_to_vec(),
                 },
             );
         }

@@ -249,21 +249,21 @@ impl FlowTable {
     /// Offers `frame` (arriving on `in_port` at `now`) to the table.
     ///
     /// On a hit the matched rule's counters and idle timer are updated and
-    /// the rewritten frame plus output ports are returned.
+    /// the rewritten frame plus output ports are returned. The frame is
+    /// sized only on a hit, for the byte counter.
     pub fn process(
         &mut self,
         frame: &EthernetFrame,
         in_port: PortNo,
         now: SimTime,
     ) -> MatchOutcome {
-        let wire_len = frame.wire_len() as u64;
         for entry in self.bands.values_mut().flat_map(|b| b.entries.iter_mut()) {
             if entry.expired_reason(now).is_some() {
                 continue; // expired rules never match; eviction happens in `expire`
             }
             if entry.flow_match.matches(frame, in_port) {
                 entry.packet_count += 1;
-                entry.byte_count += wire_len;
+                entry.byte_count += frame.wire_len() as u64;
                 entry.last_hit = now;
                 let mut rewritten = frame.clone();
                 let ports = apply_actions(&entry.actions, &mut rewritten);

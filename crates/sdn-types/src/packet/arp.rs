@@ -74,6 +74,11 @@ impl ArpPacket {
         }
     }
 
+    /// The encoded length in bytes (always 28).
+    pub fn encoded_len(&self) -> usize {
+        ARP_LEN
+    }
+
     /// Appends the 28-byte wire encoding to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u16(1); // HTYPE: Ethernet

@@ -49,6 +49,16 @@ impl Payload {
             Payload::Opaque { ethertype, .. } => EtherType(*ethertype),
         }
     }
+
+    /// The encoded payload length in bytes, computed without encoding.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Payload::Arp(arp) => arp.encoded_len(),
+            Payload::Ipv4(ip) => ip.encoded_len(),
+            Payload::Lldp(lldp) => lldp.encoded_len(),
+            Payload::Opaque { data, .. } => data.len(),
+        }
+    }
 }
 
 /// An Ethernet II frame: 6-byte destination, 6-byte source, 2-byte
@@ -111,7 +121,13 @@ impl EthernetFrame {
 
     /// Encodes to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        Bytes::from_vec(self.encode_to_vec())
+    }
+
+    /// Encodes to wire bytes in a vector of exactly [`Self::wire_len`]
+    /// bytes: the one allocation an OpenFlow `data` field needs.
+    pub fn encode_to_vec(&self) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(self.wire_len());
         buf.put_slice(&self.dst.octets());
         buf.put_slice(&self.src.octets());
         buf.put_u16(self.ethertype().0);
@@ -121,13 +137,15 @@ impl EthernetFrame {
             Payload::Lldp(lldp) => lldp.encode_into(&mut buf),
             Payload::Opaque { data, .. } => buf.put_slice(data),
         }
-        buf.freeze()
+        debug_assert_eq!(buf.len(), self.wire_len(), "encoded_len drifted");
+        buf.into_vec()
     }
 
-    /// The encoded length in bytes, used by the simulator's serialization
-    /// delay model.
+    /// The encoded length in bytes, computed arithmetically from the
+    /// payload (nothing is encoded). Feeds the port and flow byte
+    /// counters.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        ETH_HEADER_LEN + self.payload.encoded_len()
     }
 
     /// Parses a frame from wire bytes.

@@ -77,19 +77,24 @@ impl IcmpPacket {
         IcmpPacket::echo_reply(request.identifier, request.sequence, request.data.clone())
     }
 
-    /// Appends the wire encoding to `buf`, computing the ICMP checksum.
+    /// The encoded length in bytes: 8-byte header plus payload.
+    pub fn encoded_len(&self) -> usize {
+        ICMP_HEADER_LEN + self.data.len()
+    }
+
+    /// Appends the wire encoding to `buf`, computing the ICMP checksum
+    /// over the appended message in place.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         let (ty, code) = self.icmp_type.to_wire();
-        let mut msg = BytesMut::with_capacity(ICMP_HEADER_LEN + self.data.len());
-        msg.put_u8(ty);
-        msg.put_u8(code);
-        msg.put_u16(0); // checksum placeholder
-        msg.put_u16(self.identifier);
-        msg.put_u16(self.sequence);
-        msg.put_slice(&self.data);
-        let csum = internet_checksum(&msg);
-        msg[2..4].copy_from_slice(&csum.to_be_bytes());
-        buf.put_slice(&msg);
+        let start = buf.len();
+        buf.put_u8(ty);
+        buf.put_u8(code);
+        buf.put_u16(0); // checksum placeholder
+        buf.put_u16(self.identifier);
+        buf.put_u16(self.sequence);
+        buf.put_slice(&self.data);
+        let csum = internet_checksum(&buf[start..]);
+        buf[start + 2..start + 4].copy_from_slice(&csum.to_be_bytes());
     }
 
     /// Parses from wire bytes, verifying the checksum.

@@ -47,6 +47,16 @@ impl Transport {
             Transport::Raw { protocol, .. } => IpProtocol(*protocol),
         }
     }
+
+    /// The encoded transport length in bytes, computed without encoding.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Transport::Icmp(icmp) => icmp.encoded_len(),
+            Transport::Tcp(tcp) => tcp.encoded_len(),
+            Transport::Udp(udp) => udp.encoded_len(),
+            Transport::Raw { data, .. } => data.len(),
+        }
+    }
 }
 
 /// An IPv4 packet with a fixed 20-byte header (no options).
@@ -85,17 +95,14 @@ impl Ipv4Packet {
         self
     }
 
+    /// The encoded length in bytes: 20-byte header plus transport.
+    pub fn encoded_len(&self) -> usize {
+        IPV4_HEADER_LEN + self.transport.encoded_len()
+    }
+
     /// Appends the wire encoding (header + payload) to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
-        let mut body = BytesMut::new();
-        match &self.transport {
-            Transport::Icmp(icmp) => icmp.encode_into(&mut body),
-            Transport::Tcp(tcp) => tcp.encode_into(&mut body),
-            Transport::Udp(udp) => udp.encode_into(&mut body),
-            Transport::Raw { data, .. } => body.put_slice(data),
-        }
-
-        let total_len = (IPV4_HEADER_LEN + body.len()) as u16;
+        let total_len = (self.encoded_len() & 0xffff) as u16;
         let mut header = [0u8; IPV4_HEADER_LEN];
         header[0] = 0x45; // version 4, IHL 5
         header[2..4].copy_from_slice(&total_len.to_be_bytes());
@@ -108,7 +115,12 @@ impl Ipv4Packet {
         header[10..12].copy_from_slice(&csum.to_be_bytes());
 
         buf.put_slice(&header);
-        buf.put_slice(&body);
+        match &self.transport {
+            Transport::Icmp(icmp) => icmp.encode_into(buf),
+            Transport::Tcp(tcp) => tcp.encode_into(buf),
+            Transport::Udp(udp) => udp.encode_into(buf),
+            Transport::Raw { data, .. } => buf.put_slice(data),
+        }
     }
 
     /// Parses from wire bytes, verifying the header checksum.

@@ -70,15 +70,49 @@ impl LldpTlv {
         LldpTlv { tlv_type, value }
     }
 
+    fn encoded_len(&self) -> usize {
+        TLV_HEADER_LEN + self.value.len()
+    }
+
     fn encode_into(&self, buf: &mut BytesMut) {
         debug_assert!(
             self.value.len() <= 511,
             "new() enforces the 9-bit length field"
         );
-        let header = (u16::from(self.tlv_type.0) << 9) | (self.value.len() as u16);
-        buf.put_u16(header);
+        put_tlv_header(buf, self.tlv_type, self.value.len() as u16);
         buf.put_slice(&self.value);
     }
+}
+
+/// A TLV header: 7-bit type, 9-bit value length.
+const TLV_HEADER_LEN: usize = 2;
+/// Chassis ID value: subtype byte plus 16 ASCII hex digits.
+const CHASSIS_VALUE_LEN: u16 = 17;
+/// Org-specific value prefix: 3-byte OUI plus subtype byte.
+const ORG_PREFIX_LEN: u16 = 4;
+/// Chassis ID, Port ID (subtype + port), TTL and DPID org TLVs, headers
+/// included.
+const FIXED_TLVS_LEN: usize = (TLV_HEADER_LEN + CHASSIS_VALUE_LEN as usize)
+    + (TLV_HEADER_LEN + 3)
+    + (TLV_HEADER_LEN + 2)
+    + (TLV_HEADER_LEN + ORG_PREFIX_LEN as usize + 8);
+/// The timestamp org TLV: header, prefix, nonce and sealed value.
+const TIMESTAMP_TLV_LEN: usize = TLV_HEADER_LEN + ORG_PREFIX_LEN as usize + 16;
+/// The auth org TLV: header, prefix and 8-byte tag.
+const AUTH_TLV_LEN: usize = TLV_HEADER_LEN + ORG_PREFIX_LEN as usize + 8;
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+fn put_tlv_header(buf: &mut BytesMut, tlv_type: TlvType, value_len: u16) {
+    buf.put_u16((u16::from(tlv_type.0) << 9) | value_len);
+}
+
+/// Writes an org-specific TLV header plus the OUI and `subtype`; the
+/// caller appends `body_len` bytes of body.
+fn put_org_header(buf: &mut BytesMut, subtype: u8, body_len: u16) {
+    put_tlv_header(buf, TlvType::ORG_SPECIFIC, ORG_PREFIX_LEN + body_len);
+    buf.put_slice(&LLDP_ORG_TOPOMIRAGE);
+    buf.put_u8(subtype);
 }
 
 /// An encrypted departure timestamp carried in an LLDP packet.
@@ -182,46 +216,53 @@ impl LldpPacket {
         data
     }
 
-    /// Appends the wire encoding to `buf`.
+    /// The encoded length in bytes, computed without encoding: the fixed
+    /// TLVs, the optional timestamp and auth TLVs, every extra TLV and the
+    /// End TLV.
+    pub fn encoded_len(&self) -> usize {
+        let optional = self.timestamp.map_or(0, |_| TIMESTAMP_TLV_LEN)
+            + self.auth_tag.map_or(0, |_| AUTH_TLV_LEN);
+        let extra: usize = self.extra_tlvs.iter().map(LldpTlv::encoded_len).sum();
+        FIXED_TLVS_LEN + optional + extra + TLV_HEADER_LEN
+    }
+
+    /// Appends the wire encoding to `buf`, writing each TLV in place.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         // Chassis ID, subtype 7 (locally assigned): ASCII hex of the DPID.
-        let mut chassis = vec![7u8];
-        chassis.extend_from_slice(format!("{:016x}", self.dpid.raw()).as_bytes());
-        LldpTlv::new(TlvType::CHASSIS_ID, chassis).encode_into(buf);
+        put_tlv_header(buf, TlvType::CHASSIS_ID, CHASSIS_VALUE_LEN);
+        buf.put_u8(7);
+        let raw = self.dpid.raw();
+        for shift in (0..16).rev() {
+            buf.put_u8(HEX_DIGITS[((raw >> (shift * 4)) & 0xf) as usize]);
+        }
 
         // Port ID, subtype 2 (port component): big-endian port number.
-        let mut port = vec![2u8];
-        port.extend_from_slice(&self.port.raw().to_be_bytes());
-        LldpTlv::new(TlvType::PORT_ID, port).encode_into(buf);
+        put_tlv_header(buf, TlvType::PORT_ID, 3);
+        buf.put_u8(2);
+        buf.put_u16(self.port.raw());
 
-        LldpTlv::new(TlvType::TTL, self.ttl_secs.to_be_bytes().to_vec()).encode_into(buf);
+        put_tlv_header(buf, TlvType::TTL, 2);
+        buf.put_u16(self.ttl_secs);
 
-        // DPID org TLV.
-        let mut dpid = LLDP_ORG_TOPOMIRAGE.to_vec();
-        dpid.push(subtype::DPID);
-        dpid.extend_from_slice(&self.dpid.to_bytes());
-        LldpTlv::new(TlvType::ORG_SPECIFIC, dpid).encode_into(buf);
+        put_org_header(buf, subtype::DPID, 8);
+        buf.put_u64(self.dpid.raw());
 
         if let Some(ts) = self.timestamp {
-            let mut v = LLDP_ORG_TOPOMIRAGE.to_vec();
-            v.push(subtype::TIMESTAMP);
-            v.extend_from_slice(&ts.nonce.to_be_bytes());
-            v.extend_from_slice(&ts.sealed.to_be_bytes());
-            LldpTlv::new(TlvType::ORG_SPECIFIC, v).encode_into(buf);
+            put_org_header(buf, subtype::TIMESTAMP, 16);
+            buf.put_u64(ts.nonce);
+            buf.put_u64(ts.sealed);
         }
 
         if let Some(tag) = self.auth_tag {
-            let mut v = LLDP_ORG_TOPOMIRAGE.to_vec();
-            v.push(subtype::AUTH);
-            v.extend_from_slice(&tag.to_be_bytes());
-            LldpTlv::new(TlvType::ORG_SPECIFIC, v).encode_into(buf);
+            put_org_header(buf, subtype::AUTH, 8);
+            buf.put_u64(tag);
         }
 
         for tlv in &self.extra_tlvs {
             tlv.encode_into(buf);
         }
 
-        LldpTlv::new(TlvType::END, Vec::new()).encode_into(buf);
+        put_tlv_header(buf, TlvType::END, 0);
     }
 
     /// Parses from wire bytes.
@@ -410,6 +451,47 @@ mod tests {
             .push(LldpTlv::new(TlvType(8), b"sysname".to_vec()));
         let parsed = LldpPacket::parse(&encode(&pkt)).unwrap();
         assert_eq!(parsed.extra_tlvs, pkt.extra_tlvs);
+    }
+
+    /// The wire image of a signed, timestamped TOPOGUARD+ discovery frame,
+    /// pinned byte for byte: the TLV-by-TLV encoder must not drift.
+    #[test]
+    fn topoguard_plus_frame_matches_golden_bytes() {
+        use crate::packet::{EthernetFrame, Payload};
+        use crate::MacAddr;
+
+        let key = Key::new(0x1234_5678_9abc_def0, 0x0fed_cba9_8765_4321);
+        let lldp = LldpPacket::new(DatapathId::new(0x00ab_cdef_0123), PortNo::new(7))
+            .with_timestamp(key, SimTime::from_millis(123))
+            .signed(key);
+        let frame = EthernetFrame::new(
+            MacAddr::from_index(1),
+            MacAddr::LLDP_MULTICAST,
+            Payload::Lldp(lldp),
+        );
+        #[rustfmt::skip]
+        let golden: [u8; 94] = [
+            // Ethernet: LLDP multicast dst, src, EtherType 0x88cc.
+            0x01, 0x80, 0xc2, 0x00, 0x00, 0x0e, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x88, 0xcc,
+            // Chassis ID: subtype 7, ASCII hex DPID.
+            0x02, 0x11, 0x07, b'0', b'0', b'0', b'0', b'0', b'0', b'a', b'b', b'c', b'd', b'e',
+            b'f', b'0', b'1', b'2', b'3',
+            // Port ID: subtype 2, port 7.
+            0x04, 0x03, 0x02, 0x00, 0x07,
+            // TTL: 120 s.
+            0x06, 0x02, 0x00, 0x78,
+            // DPID org TLV.
+            0xfe, 0x0c, 0x00, 0x26, 0xe1, 0x01, 0x00, 0x00, 0x00, 0xab, 0xcd, 0xef, 0x01, 0x23,
+            // Timestamp org TLV: nonce, sealed departure.
+            0xfe, 0x14, 0x00, 0x26, 0xe1, 0x03, 0x0e, 0xec, 0xbb, 0xc9, 0x61, 0x9a, 0xe0, 0xa6,
+            0x96, 0x07, 0xaf, 0xa4, 0x66, 0x3a, 0x3d, 0xea,
+            // Auth org TLV: HMAC tag.
+            0xfe, 0x0c, 0x00, 0x26, 0xe1, 0x02, 0xd0, 0xa6, 0xce, 0x2f, 0x16, 0xe2, 0x46, 0xb0,
+            // End.
+            0x00, 0x00,
+        ];
+        assert_eq!(frame.encode(), golden);
+        assert_eq!(frame.wire_len(), golden.len());
     }
 
     #[test]

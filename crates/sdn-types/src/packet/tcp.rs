@@ -152,6 +152,11 @@ impl TcpSegment {
         }
     }
 
+    /// The encoded length in bytes: 20-byte header plus payload.
+    pub fn encoded_len(&self) -> usize {
+        TCP_HEADER_LEN + self.data.len()
+    }
+
     /// Appends the wire encoding to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u16(self.src_port);

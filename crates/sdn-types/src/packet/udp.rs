@@ -27,11 +27,16 @@ impl UdpDatagram {
         }
     }
 
+    /// The encoded length in bytes: 8-byte header plus payload.
+    pub fn encoded_len(&self) -> usize {
+        UDP_HEADER_LEN + self.data.len()
+    }
+
     /// Appends the wire encoding to `buf`.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
-        buf.put_u16((UDP_HEADER_LEN + self.data.len()) as u16);
+        buf.put_u16((self.encoded_len() & 0xffff) as u16);
         buf.put_u16(0); // checksum optional in IPv4
         buf.put_slice(&self.data);
     }

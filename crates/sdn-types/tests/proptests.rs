@@ -1,5 +1,7 @@
 //! Property-based tests: every packet type must round-trip byte-exactly
-//! through encode/parse for arbitrary field values.
+//! through encode/parse for arbitrary field values, its arithmetic
+//! `wire_len` must equal its encoded length, and the decoders must reject
+//! corrupted encodings cleanly.
 
 use tm_prop::prelude::*;
 
@@ -107,10 +109,14 @@ fn arb_lldp() -> impl Strategy<Value = LldpPacket> {
         any::<u16>(),
         1u16..=30000,
         option::of(any::<u64>()),
+        option::of((any::<u64>(), any::<u64>())),
         collection::vec((4u8..120, collection::vec(any::<u8>(), 0..32)), 0..3),
     )
-        .prop_map(|(dpid, port, ttl_secs, auth_tag, extras)| {
+        .prop_map(|(dpid, port, ttl_secs, auth_tag, timestamp, extras)| {
             let mut pkt = LldpPacket::new(DatapathId::new(dpid), PortNo::new(port));
+            if let Some((seed, departure_ns)) = timestamp {
+                pkt = pkt.with_timestamp(Key::from_seed(seed), SimTime::from_nanos(departure_ns));
+            }
             pkt.ttl_secs = ttl_secs;
             pkt.auth_tag = auth_tag;
             pkt.extra_tlvs = extras
@@ -143,13 +149,97 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
     ]
 }
 
+/// One corruption of a valid encoding. Positions and lengths are reduced
+/// modulo the encoding's length when applied.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Keep only the first `len` bytes.
+    Truncate(usize),
+    /// XOR the byte at `at` with a non-zero mask.
+    Flip { at: usize, mask: u8 },
+    /// Replace `len` bytes at `at` with `bytes` (a splice may grow or
+    /// shrink the buffer).
+    Splice {
+        at: usize,
+        len: usize,
+        bytes: Vec<u8>,
+    },
+}
+
+impl Mutation {
+    fn apply(&self, wire: &[u8]) -> Vec<u8> {
+        let mut out = wire.to_vec();
+        let n = out.len().max(1);
+        match self {
+            Mutation::Truncate(len) => out.truncate(len % n),
+            Mutation::Flip { at, mask } => {
+                if let Some(b) = out.get_mut(at % n) {
+                    *b ^= *mask;
+                }
+            }
+            Mutation::Splice { at, len, bytes } => {
+                let start = (at % n).min(out.len());
+                let end = (start + len).min(out.len());
+                out.splice(start..end, bytes.iter().copied());
+            }
+        }
+        out
+    }
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        any::<usize>().prop_map(Mutation::Truncate),
+        (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+        (
+            any::<usize>(),
+            0usize..8,
+            collection::vec(any::<u8>(), 0..8)
+        )
+            .prop_map(|(at, len, bytes)| Mutation::Splice { at, len, bytes }),
+    ]
+}
+
+/// The Ethernet header length: the LLDP decoder sees what follows it.
+const ETH_HEADER_LEN: usize = 14;
+
 tm_prop! {
     #[test]
     fn ethernet_frame_round_trips(src in arb_mac(), dst in arb_mac(), payload in arb_payload()) {
         let frame = EthernetFrame::new(src, dst, payload);
         let wire = frame.encode();
+        prop_assert_eq!(frame.wire_len(), wire.len());
         let parsed = EthernetFrame::parse(&wire).expect("encoded frame must parse");
         prop_assert_eq!(parsed, frame);
+    }
+
+    #[test]
+    fn mutated_frames_decode_to_err_or_a_canonical_value(
+        src in arb_mac(),
+        dst in arb_mac(),
+        payload in prop_oneof![arb_payload(), arb_lldp().prop_map(Payload::Lldp)],
+        mutations in collection::vec(arb_mutation(), 1..4),
+    ) {
+        // Any corruption of a valid encoding must come back as `Err` or as
+        // a value that is itself well-formed: sized consistently and
+        // stable under another encode/parse round.
+        let mut wire = EthernetFrame::new(src, dst, payload).encode_to_vec();
+        for m in &mutations {
+            wire = m.apply(&wire);
+        }
+        if let Ok(frame) = EthernetFrame::parse(&wire) {
+            let again = frame.encode();
+            prop_assert_eq!(frame.wire_len(), again.len());
+            prop_assert_eq!(EthernetFrame::parse(&again), Ok(frame));
+        }
+        if let Some(body) = wire.get(ETH_HEADER_LEN..) {
+            if let Ok(pkt) = LldpPacket::parse(body) {
+                let frame = EthernetFrame::new(src, dst, Payload::Lldp(pkt.clone()));
+                let again = frame.encode();
+                prop_assert_eq!(frame.wire_len(), again.len());
+                prop_assert_eq!(LldpPacket::parse(&again[ETH_HEADER_LEN..]), Ok(pkt));
+            }
+        }
     }
 
     #[test]

@@ -28,12 +28,18 @@ pub enum IqrVerdict {
 }
 
 /// A sliding-window IQR outlier detector.
+///
+/// The `Q3 + k·IQR` threshold is cached: it changes only when a sample is
+/// admitted, so [`Self::threshold`] is O(1) and each admission sorts the
+/// window once.
 #[derive(Clone, Debug)]
 pub struct IqrOutlierDetector {
     window: VecDeque<f64>,
     capacity: usize,
     min_samples: usize,
     k: f64,
+    /// The threshold over `window`, recomputed on every admission.
+    threshold: Option<f64>,
 }
 
 impl IqrOutlierDetector {
@@ -53,6 +59,7 @@ impl IqrOutlierDetector {
             capacity,
             min_samples: min_samples.min(capacity),
             k,
+            threshold: None,
         }
     }
 
@@ -74,22 +81,13 @@ impl IqrOutlierDetector {
 
     /// The current `Q3 + k·IQR` threshold, or `None` during warmup.
     pub fn threshold(&self) -> Option<f64> {
-        if self.window.len() < self.min_samples {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.window.iter().copied().collect();
-        // total_cmp: NaN-total and deterministic, unlike partial_cmp
-        // (a NaN sample must not be able to panic or reorder the store).
-        sorted.sort_by(f64::total_cmp);
-        let q1 = quantile_sorted(&sorted, 0.25)?;
-        let q3 = quantile_sorted(&sorted, 0.75)?;
-        Some(q3 + self.k * (q3 - q1))
+        self.threshold
     }
 
     /// Inspects `sample`: judges it against the current threshold, then
     /// admits it to the store unless it was an outlier.
     pub fn inspect(&mut self, sample: f64) -> IqrVerdict {
-        match self.threshold() {
+        match self.threshold {
             None => {
                 self.admit(sample);
                 IqrVerdict::Warmup
@@ -107,7 +105,23 @@ impl IqrOutlierDetector {
             self.window.pop_front();
         }
         self.window.push_back(sample);
+        self.threshold = recompute_threshold(&self.window, self.min_samples, self.k);
     }
+}
+
+/// The `Q3 + k·IQR` threshold over `window`, or `None` while it holds
+/// fewer than `min_samples` samples.
+fn recompute_threshold(window: &VecDeque<f64>, min_samples: usize, k: f64) -> Option<f64> {
+    if window.len() < min_samples {
+        return None;
+    }
+    let mut sorted: Vec<f64> = window.iter().copied().collect();
+    // total_cmp: NaN-total and deterministic, unlike partial_cmp
+    // (a NaN sample must not be able to panic or reorder the store).
+    sorted.sort_by(f64::total_cmp);
+    let q1 = quantile_sorted(&sorted, 0.25)?;
+    let q3 = quantile_sorted(&sorted, 0.75)?;
+    Some(q3 + k * (q3 - q1))
 }
 
 #[cfg(test)]

@@ -271,7 +271,7 @@ impl DefenseModule for TopoGuard {
             OfMessage::PacketOut {
                 in_port: PortNo::NONE,
                 actions: vec![Action::Output(mv.from.port)],
-                data: probe.encode().to_vec(),
+                data: probe.encode_to_vec(),
             },
         );
         self.pending_checks.push(PendingReachabilityCheck {
