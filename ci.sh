@@ -25,11 +25,11 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo bench --no-run --offline
 
-# Scheduler-backend differential, full registry: every campaign scenario
-# must render byte-identical reports on the timing wheel and the legacy
-# binary heap, at workers 1 and 2. Minutes of virtual time per scenario,
-# so it is #[ignore]d in the debug tier and runs here in release.
-cargo test -q --release --offline --test sched_diff -- --ignored
+# Worker-count identity, full registry: every campaign scenario must
+# render byte-identical reports at workers 1 and 2. Minutes of virtual
+# time per scenario, so it is #[ignore]d in the debug tier and runs here
+# in release.
+cargo test -q --release --offline --test determinism -- --ignored
 
 # Benchmark fidelity: perfbench is its own workspace, so the workspace
 # test run above skips it. Its suite checks that the hand-built soaks

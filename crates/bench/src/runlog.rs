@@ -140,12 +140,14 @@ impl RunLogHeader {
             index: cursor.u32()?,
             count: cursor.u32()?,
         };
+        // Counts are untrusted: grow the vectors as entries actually
+        // decode rather than pre-allocating what a corrupt count claims.
         let n_axes = cursor.u32()?;
-        let mut axes = Vec::with_capacity(n_axes as usize);
+        let mut axes = Vec::new();
         for _ in 0..n_axes {
             let name = cursor.str()?;
             let n_values = cursor.u32()?;
-            let mut values = Vec::with_capacity(n_values as usize);
+            let mut values = Vec::new();
             for _ in 0..n_values {
                 values.push(cursor.str()?);
             }

@@ -8,15 +8,21 @@
 //! 3. A damaged tail (partial final write) drops cleanly: the complete
 //!    prefix survives, `truncated` is flagged, and `complete_cells`
 //!    offers only cells whose full seed set is on disk.
+//! 4. Corrupt bytes anywhere read back as `Err` or a well-formed log,
+//!    never a panic or an abort.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use bench::runlog::{self, RunLogHeader, Writer};
+use tm_campaign::codec::{put_f64, put_str, put_u32, put_u64};
 use tm_campaign::{
     aggregate_stream, run_campaign_with, Axis, CampaignSpec, Metrics, RecordingSink, Registry,
     Resume, Scenario, Shard,
 };
+use tm_prop::bytes::mutation;
+use tm_prop::prelude::*;
 
 fn registry() -> Registry {
     let mut r = Registry::new();
@@ -224,4 +230,71 @@ fn writer_carries_kept_records_through_a_resume_rewrite() {
     assert!(!reread.truncated);
     assert_eq!(bytes_reported, fs::metadata(&path).expect("stat").len());
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corrupt_axis_counts_are_an_error_not_an_abort() {
+    // The header's axis and value counts set to u32::MAX: reading must
+    // fail on the missing entries, not try to allocate what they claim.
+    let dir = tmpdir("counts");
+    let path = dir.join("counts.runlog");
+    for (n_axes, n_values) in [(u32::MAX, 0), (1, u32::MAX)] {
+        let mut buf = b"TMRLOG01".to_vec();
+        put_str(&mut buf, "rl");
+        put_str(&mut buf, "run-log fixture");
+        put_u64(&mut buf, 0x5EED);
+        put_u64(&mut buf, 4);
+        put_f64(&mut buf, 0.95);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 1);
+        put_u32(&mut buf, n_axes);
+        put_str(&mut buf, "a");
+        put_u32(&mut buf, n_values);
+        fs::write(&path, &buf).expect("write");
+        assert!(
+            runlog::read(&path).is_err(),
+            "n_axes={n_axes} n_values={n_values}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A valid log of the fixture campaign, written once.
+fn valid_log() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let dir = tmpdir("valid");
+        let (_, _, path) = run_shard(&dir, Shard::full());
+        let bytes = fs::read(&path).expect("read log");
+        let _ = fs::remove_dir_all(&dir);
+        bytes
+    })
+}
+
+tm_prop! {
+    #[test]
+    fn mutated_logs_read_to_err_or_a_stable_log(
+        mutations in collection::vec(mutation(), 1..4),
+    ) {
+        // Any corruption of a valid log must read as `Err` or as a log
+        // that is itself well-formed: rewriting and rereading it is a
+        // fixed point, byte for byte.
+        let mut wire = valid_log().to_vec();
+        for m in &mutations {
+            wire = m.apply(&wire);
+        }
+        let dir = tmpdir("mutated");
+        let path = dir.join("mutated.runlog");
+        let copy = dir.join("copy.runlog");
+        fs::write(&path, &wire).expect("write");
+        if let Ok(log) = runlog::read(&path) {
+            runlog::complete_cells(&log);
+            Writer::create(&copy, &log.header, &log.records).expect("rewrite");
+            let once = fs::read(&copy).expect("read");
+            let again = runlog::read(&copy).expect("reread");
+            prop_assert!(!again.truncated);
+            Writer::create(&copy, &again.header, &again.records).expect("rewrite again");
+            prop_assert_eq!(fs::read(&copy).expect("read"), once);
+        }
+    }
 }

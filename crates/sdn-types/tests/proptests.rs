@@ -3,6 +3,7 @@
 //! `wire_len` must equal its encoded length, and the decoders must reject
 //! corrupted encodings cleanly.
 
+use tm_prop::bytes::mutation;
 use tm_prop::prelude::*;
 
 use sdn_types::crypto::{Key, StreamCipher};
@@ -149,57 +150,6 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
     ]
 }
 
-/// One corruption of a valid encoding. Positions and lengths are reduced
-/// modulo the encoding's length when applied.
-#[derive(Clone, Debug)]
-enum Mutation {
-    /// Keep only the first `len` bytes.
-    Truncate(usize),
-    /// XOR the byte at `at` with a non-zero mask.
-    Flip { at: usize, mask: u8 },
-    /// Replace `len` bytes at `at` with `bytes` (a splice may grow or
-    /// shrink the buffer).
-    Splice {
-        at: usize,
-        len: usize,
-        bytes: Vec<u8>,
-    },
-}
-
-impl Mutation {
-    fn apply(&self, wire: &[u8]) -> Vec<u8> {
-        let mut out = wire.to_vec();
-        let n = out.len().max(1);
-        match self {
-            Mutation::Truncate(len) => out.truncate(len % n),
-            Mutation::Flip { at, mask } => {
-                if let Some(b) = out.get_mut(at % n) {
-                    *b ^= *mask;
-                }
-            }
-            Mutation::Splice { at, len, bytes } => {
-                let start = (at % n).min(out.len());
-                let end = (start + len).min(out.len());
-                out.splice(start..end, bytes.iter().copied());
-            }
-        }
-        out
-    }
-}
-
-fn arb_mutation() -> impl Strategy<Value = Mutation> {
-    prop_oneof![
-        any::<usize>().prop_map(Mutation::Truncate),
-        (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
-        (
-            any::<usize>(),
-            0usize..8,
-            collection::vec(any::<u8>(), 0..8)
-        )
-            .prop_map(|(at, len, bytes)| Mutation::Splice { at, len, bytes }),
-    ]
-}
-
 /// The Ethernet header length: the LLDP decoder sees what follows it.
 const ETH_HEADER_LEN: usize = 14;
 
@@ -218,7 +168,7 @@ tm_prop! {
         src in arb_mac(),
         dst in arb_mac(),
         payload in prop_oneof![arb_payload(), arb_lldp().prop_map(Payload::Lldp)],
-        mutations in collection::vec(arb_mutation(), 1..4),
+        mutations in collection::vec(mutation(), 1..4),
     ) {
         // Any corruption of a valid encoding must come back as `Err` or as
         // a value that is itself well-formed: sized consistently and

@@ -161,9 +161,11 @@ fn encode_cell(buf: &mut Vec<u8>, cell: &CellReport) {
 }
 
 fn decode_cell(cursor: &mut Cursor<'_>) -> Option<CellReport> {
+    // Counts are untrusted: grow the vectors as entries actually decode
+    // rather than pre-allocating what a corrupt count claims.
     let index = cursor.len()?;
     let n_coords = cursor.u32()?;
-    let mut coords = Vec::with_capacity(n_coords as usize);
+    let mut coords = Vec::new();
     for _ in 0..n_coords {
         let axis = cursor.str()?;
         let value = cursor.str()?;
@@ -171,14 +173,14 @@ fn decode_cell(cursor: &mut Cursor<'_>) -> Option<CellReport> {
     }
     let seeds = cursor.len()?;
     let n_failures = cursor.u32()?;
-    let mut failures = Vec::with_capacity(n_failures as usize);
+    let mut failures = Vec::new();
     for _ in 0..n_failures {
         let seed = cursor.u64()?;
         let cause = cursor.str()?;
         failures.push((seed, cause));
     }
     let n_metrics = cursor.u32()?;
-    let mut metrics = Vec::with_capacity(n_metrics as usize);
+    let mut metrics = Vec::new();
     for _ in 0..n_metrics {
         metrics.push(MetricAggregate {
             name: cursor.str()?,
@@ -321,6 +323,9 @@ mod tests {
     use super::*;
     use crate::registry::{Axis, Metrics, Registry};
     use crate::runner::{run_campaign, run_campaign_with, Resume};
+    use std::sync::OnceLock;
+    use tm_prop::bytes::mutation;
+    use tm_prop::prelude::*;
 
     fn registry() -> Registry {
         let mut r = Registry::new();
@@ -467,5 +472,85 @@ mod tests {
         // And the checkpoint on disk is whole again.
         assert_eq!(load(&path, &h).expect("reload"), full.cells);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_cell_counts_drop_the_tail_instead_of_aborting() {
+        // Each of a cell's three counts set to u32::MAX in turn, the
+        // others zero so decoding reaches it. The record is damage: the
+        // loader keeps the valid cell before it and must not try to
+        // allocate what the count claims.
+        let dir = std::env::temp_dir().join("tm-campaign-ckpt-counts");
+        fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("ck.ckpt");
+        let r = registry();
+        let s = spec();
+        let h = header(&r, &s);
+        let report = run_campaign(&r, &s).expect("campaign");
+        for field in 0..3 {
+            let count = |i: usize| if i == field { u32::MAX } else { 0 };
+            let mut body = Vec::new();
+            put_u64(&mut body, 1);
+            put_u32(&mut body, count(0));
+            put_u64(&mut body, 4);
+            put_u32(&mut body, count(1));
+            put_u32(&mut body, count(2));
+            let mut buf = Vec::new();
+            encode_header(&mut buf, &h);
+            encode_cell(&mut buf, &report.cells[0]);
+            put_u64(&mut buf, body.len() as u64);
+            buf.extend_from_slice(&body);
+            fs::write(&path, &buf).expect("write");
+            assert_eq!(
+                load(&path, &h).expect("load"),
+                report.cells[..1],
+                "field {field}"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A valid encoding of the fixture campaign, built once.
+    fn valid_checkpoint() -> &'static (CheckpointHeader, Vec<u8>) {
+        static BYTES: OnceLock<(CheckpointHeader, Vec<u8>)> = OnceLock::new();
+        BYTES.get_or_init(|| {
+            let r = registry();
+            let s = spec();
+            let h = header(&r, &s);
+            let mut buf = Vec::new();
+            encode_header(&mut buf, &h);
+            for cell in &run_campaign(&r, &s).expect("campaign").cells {
+                encode_cell(&mut buf, cell);
+            }
+            (h, buf)
+        })
+    }
+
+    tm_prop! {
+        #[test]
+        fn mutated_checkpoints_load_to_err_or_a_stable_prefix(
+            mutations in collection::vec(mutation(), 1..4),
+        ) {
+            // Any corruption of a valid checkpoint must load as `Err` or
+            // as cells that are themselves well-formed: saving and
+            // reloading them is a fixed point, byte for byte.
+            let (h, valid) = valid_checkpoint();
+            let mut wire = valid.clone();
+            for m in &mutations {
+                wire = m.apply(&wire);
+            }
+            let dir = std::env::temp_dir().join("tm-campaign-ckpt-mutated");
+            fs::create_dir_all(&dir).expect("tmpdir");
+            let path = dir.join("ck.ckpt");
+            fs::write(&path, &wire).expect("write");
+            if let Ok(cells) = load(&path, h) {
+                save(&path, h, &cells).expect("save");
+                let once = fs::read(&path).expect("read");
+                let again = load(&path, h).expect("reload");
+                prop_assert_eq!(again.len(), cells.len());
+                save(&path, h, &again).expect("resave");
+                prop_assert_eq!(fs::read(&path).expect("read"), once);
+            }
+        }
     }
 }

@@ -114,6 +114,74 @@ pub mod option {
     }
 }
 
+/// Corruptions of valid encodings, for properties that decoders of
+/// wire or file bytes reject damage cleanly instead of panicking.
+pub mod bytes {
+    use crate::collection;
+    use crate::strategy::{any, Strategy};
+
+    /// One corruption of a valid encoding. Positions and lengths are
+    /// reduced modulo the encoding's length when applied.
+    #[derive(Clone, Debug)]
+    pub enum Mutation {
+        /// Keep only the first `len` bytes.
+        Truncate(usize),
+        /// XOR the byte at `at` with a non-zero mask.
+        Flip {
+            /// Byte position.
+            at: usize,
+            /// Non-zero XOR mask.
+            mask: u8,
+        },
+        /// Replace `len` bytes at `at` with `bytes` (a splice may grow or
+        /// shrink the buffer).
+        Splice {
+            /// Start position.
+            at: usize,
+            /// Bytes replaced.
+            len: usize,
+            /// Replacement bytes.
+            bytes: Vec<u8>,
+        },
+    }
+
+    impl Mutation {
+        /// The corrupted copy of `wire`.
+        pub fn apply(&self, wire: &[u8]) -> Vec<u8> {
+            let mut out = wire.to_vec();
+            let n = out.len().max(1);
+            match self {
+                Mutation::Truncate(len) => out.truncate(len % n),
+                Mutation::Flip { at, mask } => {
+                    if let Some(b) = out.get_mut(at % n) {
+                        *b ^= *mask;
+                    }
+                }
+                Mutation::Splice { at, len, bytes } => {
+                    let start = (at % n).min(out.len());
+                    let end = (start + len).min(out.len());
+                    out.splice(start..end, bytes.iter().copied());
+                }
+            }
+            out
+        }
+    }
+
+    /// Truncations, single-byte flips and short splices, equally likely.
+    pub fn mutation() -> impl Strategy<Value = Mutation> {
+        crate::prop_oneof![
+            any::<usize>().prop_map(Mutation::Truncate),
+            (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
+            (
+                any::<usize>(),
+                0usize..8,
+                collection::vec(any::<u8>(), 0..8)
+            )
+                .prop_map(|(at, len, bytes)| Mutation::Splice { at, len, bytes }),
+        ]
+    }
+}
+
 /// Everything a property-test file needs.
 pub mod prelude {
     pub use crate::collection;

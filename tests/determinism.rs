@@ -5,8 +5,12 @@
 //! pin that guarantee at the strongest available granularity — the full
 //! simulator event trace — so any accidental nondeterminism (hash-map
 //! iteration order, wall-clock leakage, RNG stream misuse) fails loudly
-//! rather than silently skewing reproduced numbers.
+//! rather than silently skewing reproduced numbers. The campaign tests
+//! extend the guarantee across the worker pool: a report must not depend
+//! on how many threads ran its cells.
 
+use bench::campaign::registry;
+use tm_campaign::{run_campaign, CampaignSpec};
 use topomirage::scenarios::hijack::{self, HijackScenario};
 use topomirage::scenarios::linkfab::{self, LinkFabScenario, RelayMode};
 use topomirage::scenarios::DefenseStack;
@@ -176,4 +180,55 @@ fn topo_matrix_render_is_reproducible() {
     let b = matrix::run_matrix_on(kind, &stacks, 0xD5_2018);
     assert_eq!(matrix::render(&a), matrix::render(&b));
     assert!(a.iter().all(|e| e.failure.is_none()), "no cell may crash");
+}
+
+/// One campaign render at a given worker count.
+fn render_campaign(scenario: &str, workers: usize) -> String {
+    let registry = registry();
+    let mut spec = CampaignSpec::new(scenario, 0xD5_2018);
+    spec.seeds = 2;
+    spec.workers = workers;
+    let report = run_campaign(&registry, &spec)
+        .unwrap_or_else(|e| panic!("campaign {scenario} failed: {e}"));
+    report.render()
+}
+
+fn assert_worker_identical(scenario: &str) {
+    assert_eq!(
+        render_campaign(scenario, 1),
+        render_campaign(scenario, 2),
+        "{scenario}: campaign render differs across worker counts"
+    );
+}
+
+/// Tier-1 slice: the two designated smoke scenarios, cheap enough for the
+/// debug-mode workspace test run.
+#[test]
+fn smoke_scenarios_are_worker_identical() {
+    for scenario in ["probe-overhead", "ident-change"] {
+        assert_worker_identical(scenario);
+    }
+}
+
+/// The full registry sweep — minutes of virtual time per scenario, so it
+/// is ignored under the debug tier-1 budget; ci.sh runs it in release via
+/// `cargo test --release --test determinism -- --ignored`.
+///
+/// The `load` scenario is exempt: its grid tops out at 102,400 virtual
+/// hosts per cell, which would multiply this sweep's wall clock by ~5×,
+/// and the worker pool only ever partitions whole runs, so the other
+/// scenarios already cover every path a worker count can touch.
+#[test]
+#[ignore = "full-registry sweep; run in release (see ci.sh)"]
+fn every_campaign_scenario_is_worker_identical() {
+    let names: Vec<String> = registry()
+        .scenarios()
+        .iter()
+        .map(|s| s.name.clone())
+        .filter(|n| n != "load")
+        .collect();
+    assert!(names.len() >= 9, "registry unexpectedly small: {names:?}");
+    for scenario in &names {
+        assert_worker_identical(scenario);
+    }
 }
