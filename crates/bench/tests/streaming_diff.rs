@@ -18,11 +18,15 @@
 //! cells alike — and the sharded union of the synthetic twins matches
 //! the unsharded run.
 
+#[path = "../../tm-campaign/tests/support/two_pass.rs"]
+mod two_pass;
+
 use bench::campaign;
 use tm_campaign::{
-    aggregate_stream, aggregate_two_pass, run_campaign_with, CampaignMeta, CampaignSpec, Metrics,
-    RecordingSink, Registry, Resume, Scenario, Shard,
+    aggregate_stream, run_campaign_with, CampaignMeta, CampaignSpec, Metrics, RecordingSink,
+    Registry, Resume, Scenario, Shard,
 };
+use two_pass::aggregate_two_pass;
 
 /// A registry of synthetic twins: every registered scenario's name, axes
 /// and description, with the run function replaced by seed arithmetic

@@ -12,11 +12,51 @@ use sdn_types::{DatapathId, Duration, SimTime};
 /// How many recent RTTs the paper averages.
 pub const SAMPLES_AVERAGED: usize = 3;
 
+/// An echo awaiting its reply, or the tombstone of one that was answered
+/// out of order (`None`).
+type Pending = Option<(DatapathId, SimTime)>;
+
+/// The latest [`SAMPLES_AVERAGED`] RTTs of one switch, in nanoseconds, as
+/// an inline ring: the oldest sample is overwritten first.
+#[derive(Clone, Copy, Debug, Default)]
+struct RttWindow {
+    samples: [u64; SAMPLES_AVERAGED],
+    len: usize,
+    next: usize,
+}
+
+impl RttWindow {
+    fn push(&mut self, rtt: Duration) {
+        if let Some(slot) = self.samples.get_mut(self.next) {
+            *slot = rtt.as_nanos();
+        }
+        self.next = (self.next + 1) % SAMPLES_AVERAGED;
+        self.len = (self.len + 1).min(SAMPLES_AVERAGED);
+    }
+
+    /// The mean of the window, rounded to the nearest nanosecond (`None`
+    /// while empty). Until the ring wraps, its samples are exactly its
+    /// first `len` entries.
+    fn mean(&self) -> Option<Duration> {
+        let total: u64 = self.samples.iter().take(self.len).sum();
+        let len = self.len as u64;
+        (total + len / 2).checked_div(len).map(Duration::from_nanos)
+    }
+}
+
 /// Tracks per-switch control-channel round-trip times.
+///
+/// The controller draws echo xids from one increasing counter, so the
+/// outstanding echoes are kept as an xid-ordered deque: sending appends,
+/// and a reply in send order pops the front. A reply that overtakes
+/// earlier ones is found by binary search and leaves a tombstone in its
+/// place, which the front pops skip once the replies before it arrive;
+/// nothing is shifted. An xid below the newest is inserted in order.
 #[derive(Clone, Debug, Default)]
 pub struct CtrlLatencyTracker {
-    rtts: BTreeMap<DatapathId, VecDeque<Duration>>,
-    outstanding: BTreeMap<u64, (DatapathId, SimTime)>,
+    rtts: BTreeMap<DatapathId, RttWindow>,
+    /// `(xid, echo)` in ascending xid order; tombstones included.
+    outstanding: VecDeque<(u64, Pending)>,
 }
 
 impl CtrlLatencyTracker {
@@ -26,35 +66,66 @@ impl CtrlLatencyTracker {
     }
 
     /// Records that an echo with transaction id `xid` was sent to `dpid`.
+    /// Re-sending a known xid replaces its send record.
     pub fn echo_sent(&mut self, xid: u64, dpid: DatapathId, at: SimTime) {
-        self.outstanding.insert(xid, (dpid, at));
+        let echo = Some((dpid, at));
+        if self.outstanding.back().is_none_or(|&(last, _)| last < xid) {
+            self.outstanding.push_back((xid, echo));
+            return;
+        }
+        match self.outstanding.binary_search_by_key(&xid, |&(x, _)| x) {
+            Ok(i) => {
+                if let Some((_, pending)) = self.outstanding.get_mut(i) {
+                    *pending = echo;
+                }
+            }
+            Err(i) => self.outstanding.insert(i, (xid, echo)),
+        }
     }
 
     /// Records an echo reply; returns the measured RTT if the xid was known.
     pub fn echo_received(&mut self, xid: u64, now: SimTime) -> Option<Duration> {
-        let (dpid, sent) = self.outstanding.remove(&xid)?;
+        let (dpid, sent) = self.take(xid)?;
         let rtt = now.since(sent);
-        let window = self.rtts.entry(dpid).or_default();
-        if window.len() == SAMPLES_AVERAGED {
-            window.pop_front();
-        }
-        window.push_back(rtt);
+        self.rtts.entry(dpid).or_default().push(rtt);
         Some(rtt)
+    }
+
+    /// Removes outstanding echo `xid`, then pops any tombstones it exposed
+    /// at the front.
+    fn take(&mut self, xid: u64) -> Pending {
+        let taken = match self.outstanding.front() {
+            Some(&(front, _)) if front == xid => self.outstanding.pop_front().and_then(|(_, p)| p),
+            _ => {
+                let i = self
+                    .outstanding
+                    .binary_search_by_key(&xid, |&(x, _)| x)
+                    .ok()?;
+                self.outstanding.get_mut(i).and_then(|(_, p)| p.take())
+            }
+        };
+        while let Some((_, None)) = self.outstanding.front() {
+            self.outstanding.pop_front();
+        }
+        taken
     }
 
     /// Forgets outstanding echoes sent before `now − horizon` and returns
     /// how many were dropped. Lost or reordered replies would otherwise pin
-    /// their entries forever, growing the map without bound over a long run.
+    /// their entries forever, growing the deque without bound over a long
+    /// run.
     pub fn prune_stale(&mut self, now: SimTime, horizon: Duration) -> usize {
         let cutoff = SimTime::from_nanos(now.as_nanos().saturating_sub(horizon.as_nanos()));
-        let before = self.outstanding.len();
-        self.outstanding.retain(|_, (_, sent)| *sent >= cutoff);
+        let before = self.outstanding_count();
+        self.outstanding
+            .retain(|(_, pending)| matches!(pending, Some((_, sent)) if *sent >= cutoff));
         before - self.outstanding.len()
     }
 
-    /// Number of echoes awaiting a reply (diagnostics).
+    /// Number of echoes awaiting a reply (diagnostics; tombstones are not
+    /// counted).
     pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding.iter().filter(|(_, p)| p.is_some()).count()
     }
 
     /// The average of the latest three RTTs for `dpid`, or `None` if no
@@ -62,13 +133,7 @@ impl CtrlLatencyTracker {
     /// truncation would bias `T_SW` low, and therefore the LLI's
     /// `T_LLDP − T_SW1 − T_SW2` estimate high.
     pub fn avg_rtt(&self, dpid: DatapathId) -> Option<Duration> {
-        let window = self.rtts.get(&dpid)?;
-        if window.is_empty() {
-            return None;
-        }
-        let total: u64 = window.iter().map(|d| d.as_nanos()).sum();
-        let len = window.len() as u64;
-        Some(Duration::from_nanos((total + len / 2) / len))
+        self.rtts.get(&dpid)?.mean()
     }
 
     /// The estimated one-way control-link delay (`T_SW`): half the averaged
@@ -77,9 +142,10 @@ impl CtrlLatencyTracker {
         self.avg_rtt(dpid).map(|rtt| rtt.div(2))
     }
 
-    /// Number of switches with at least one completed measurement.
+    /// Number of switches with at least one completed measurement (a
+    /// window exists only once its first sample lands).
     pub fn measured_switches(&self) -> usize {
-        self.rtts.values().filter(|w| !w.is_empty()).count()
+        self.rtts.len()
     }
 }
 

@@ -12,7 +12,7 @@ use crate::engine::{CtrlDelivery, Event, SimCore};
 use crate::faults::{FaultPlan, FaultState, FaultWindowKind};
 use crate::host::{deliver_frame, HostApp, HostCtx, HostInfo, HostState};
 use crate::link::LinkProfile;
-use crate::switch::{self, Peer, SwitchState};
+use crate::switch::{self, Peer, SwitchState, SwitchTable};
 use crate::trace::{Trace, TraceEvent};
 use crate::traffic::{self, TrafficPlan, TrafficState};
 
@@ -28,7 +28,7 @@ pub(crate) struct OobChannel {
 
 /// All network state (switches, hosts, channels, trace).
 pub(crate) struct NetState {
-    pub(crate) switches: BTreeMap<DatapathId, SwitchState>,
+    pub(crate) switches: SwitchTable,
     pub(crate) hosts: BTreeMap<HostId, HostState>,
     pub(crate) oob_channels: Vec<OobChannel>,
     pub(crate) trace: Trace,
@@ -44,6 +44,9 @@ pub(crate) struct NetState {
 ///
 /// The default control-link latency is 1 ms per switch.
 pub struct NetworkSpec {
+    /// Switches under construction, in any order of addition;
+    /// [`Simulator::new`] turns them into the sorted [`SwitchTable`].
+    switches: BTreeMap<DatapathId, SwitchState>,
     net: NetState,
     controller: Box<dyn ControllerLogic>,
     default_ctrl_latency: Duration,
@@ -54,8 +57,9 @@ impl NetworkSpec {
     /// Creates an empty specification with a [`NullController`].
     pub fn new() -> Self {
         NetworkSpec {
+            switches: BTreeMap::new(),
             net: NetState {
-                switches: BTreeMap::new(),
+                switches: SwitchTable::default(),
                 hosts: BTreeMap::new(),
                 oob_channels: Vec::new(),
                 trace: Trace::default(),
@@ -92,7 +96,6 @@ impl NetworkSpec {
         ctrl_latency: Duration,
     ) -> &mut Self {
         let prev = self
-            .net
             .switches
             .insert(dpid, SwitchState::new(dpid, ctrl_latency));
         assert!(prev.is_none(), "duplicate switch {dpid}");
@@ -121,7 +124,7 @@ impl NetworkSpec {
         link: LinkProfile,
     ) -> &mut Self {
         // tm-lint: allow(unwrap-in-lib) -- documented builder panic ("# Panics"): a malformed spec must fail loudly at build time, not mid-simulation
-        let sw = self.net.switches.get_mut(&dpid).expect("switch exists");
+        let sw = self.switches.get_mut(&dpid).expect("switch exists");
         assert!(
             !sw.ports.contains_key(&port),
             "port {port} on {dpid} already attached"
@@ -148,7 +151,7 @@ impl NetworkSpec {
     ) -> &mut Self {
         {
             // tm-lint: allow(unwrap-in-lib) -- documented builder panic ("# Panics"): a malformed spec must fail loudly at build time, not mid-simulation
-            let sw_a = self.net.switches.get_mut(&a).expect("switch a exists");
+            let sw_a = self.switches.get_mut(&a).expect("switch a exists");
             assert!(!sw_a.ports.contains_key(&port_a), "port in use on {a}");
             sw_a.attach(
                 port_a,
@@ -161,7 +164,7 @@ impl NetworkSpec {
         }
         {
             // tm-lint: allow(unwrap-in-lib) -- documented builder panic ("# Panics"): a malformed spec must fail loudly at build time, not mid-simulation
-            let sw_b = self.net.switches.get_mut(&b).expect("switch b exists");
+            let sw_b = self.switches.get_mut(&b).expect("switch b exists");
             assert!(!sw_b.ports.contains_key(&port_b), "port in use on {b}");
             sw_b.attach(
                 port_b,
@@ -227,16 +230,16 @@ impl Simulator {
     /// controller handshake (Hello + FeaturesReply per switch), and invokes
     /// `on_start` hooks.
     pub fn new(spec: NetworkSpec, seed: u64) -> Self {
+        let mut net = spec.net;
+        net.switches = spec.switches.into();
         let mut sim = Simulator {
             core: SimCore::new(seed, spec.telemetry),
-            net: spec.net,
+            net,
             controller: Some(spec.controller),
         };
 
         // Switch handshake: each switch announces itself.
-        let dpids: Vec<DatapathId> = sim.net.switches.keys().copied().collect();
-        for dpid in &dpids {
-            let sw = &sim.net.switches[dpid];
+        for (dpid, sw) in sim.net.switches.iter() {
             let latency = sw.ctrl_latency;
             let ports = sw.port_descs();
             sim.core.schedule(

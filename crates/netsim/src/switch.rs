@@ -135,6 +135,50 @@ impl SwitchState {
     }
 }
 
+/// The switches of a running simulation, in ascending dpid order.
+///
+/// Every control message and dataplane hop looks its switch up here, so
+/// the table is two parallel contiguous vectors: the sorted dpids, which
+/// a binary search walks without leaving cache, and the states at the
+/// same positions. Iteration is in ascending dpid order, as it was over
+/// the `BTreeMap` this replaces. [`NetworkSpec`](crate::NetworkSpec)
+/// builds in a `BTreeMap`, since builders add switches in any order, and
+/// [`Simulator::new`](crate::Simulator::new) converts it once.
+#[derive(Default)]
+pub(crate) struct SwitchTable {
+    dpids: Vec<DatapathId>,
+    states: Vec<SwitchState>,
+}
+
+impl SwitchTable {
+    pub(crate) fn get(&self, dpid: &DatapathId) -> Option<&SwitchState> {
+        let i = self.dpids.binary_search(dpid).ok()?;
+        self.states.get(i)
+    }
+
+    pub(crate) fn get_mut(&mut self, dpid: &DatapathId) -> Option<&mut SwitchState> {
+        let i = self.dpids.binary_search(dpid).ok()?;
+        self.states.get_mut(i)
+    }
+
+    /// Datapath ids in ascending order.
+    pub(crate) fn keys(&self) -> std::slice::Iter<'_, DatapathId> {
+        self.dpids.iter()
+    }
+
+    /// `(dpid, state)` pairs in ascending dpid order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&DatapathId, &SwitchState)> {
+        self.dpids.iter().zip(&self.states)
+    }
+}
+
+impl From<BTreeMap<DatapathId, SwitchState>> for SwitchTable {
+    fn from(switches: BTreeMap<DatapathId, SwitchState>) -> Self {
+        let (dpids, states) = switches.into_iter().unzip();
+        SwitchTable { dpids, states }
+    }
+}
+
 /// Sends `msg` from switch `dpid` up to the controller.
 pub(crate) fn send_to_controller(
     core: &mut SimCore,
@@ -378,7 +422,7 @@ pub(crate) fn handle_frame(
 ) {
     let now = core.now();
     let wire_len = frame.wire_len() as u64;
-    let mut became_up = false;
+    let mut up_desc = None;
     let outcome = {
         let Some(sw) = net.switches.get_mut(&dpid) else {
             return;
@@ -392,19 +436,14 @@ pub(crate) fn handle_frame(
         if !p.detected_up {
             // Traffic implies the link is physically up: fast up-detection.
             p.detected_up = true;
-            became_up = true;
+            up_desc = Some(p.desc(in_port));
         }
         p.rx_packets += 1;
         p.rx_bytes += wire_len;
         sw.table.process(&frame, in_port, now)
     };
 
-    if became_up {
-        debug_assert!(
-            net.switches.contains_key(&dpid) && net.switches[&dpid].ports.contains_key(&in_port),
-            "became_up was set while borrowing this exact port"
-        );
-        let desc = net.switches[&dpid].ports[&in_port].desc(in_port);
+    if let Some(desc) = up_desc {
         net.trace.push(TraceEvent::PortUp {
             at: now,
             dpid,

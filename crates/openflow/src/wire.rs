@@ -534,11 +534,29 @@ fn encode_action(buf: &mut BytesMut, action: &Action) {
     }
 }
 
+/// The one length each supported action type has on the wire, header
+/// included.
+fn action_len(ty: u16) -> Option<usize> {
+    match ty {
+        action_type::OUTPUT | action_type::SET_NW_SRC | action_type::SET_NW_DST => Some(8),
+        action_type::SET_DL_SRC | action_type::SET_DL_DST => Some(16),
+        _ => None,
+    }
+}
+
+/// Decodes one action. Its length field must be the type's fixed length:
+/// a decoded action re-encodes to exactly as many bytes as it was read
+/// from, so a decoded message never outgrows the 16-bit length field when
+/// it is encoded again.
 fn decode_action(r: &mut Reader<'_>) -> Result<Action, ParseError> {
     let ty = r.u16()?;
     let len = usize::from(r.u16()?);
-    if len < 4 {
-        return Err(ParseError::bad_field("Action", "length too small"));
+    let expected = action_len(ty).ok_or(ParseError::bad_field("Action", "unsupported type"))?;
+    if len != expected {
+        return Err(ParseError::bad_field(
+            "Action",
+            "length does not match type",
+        ));
     }
     let mut body = Reader::new(r.take(len - 4)?);
     match ty {
@@ -895,5 +913,41 @@ mod tests {
             "unknown type"
         );
         assert!(decode(&[0x01, 0, 0, 99, 0, 0, 0, 0]).is_err(), "bad length");
+    }
+
+    #[test]
+    fn short_actions_cannot_outgrow_the_length_field_on_re_encode() {
+        // A FlowMod filled to 65,532 bytes with 6,546 SET_DL_SRC actions
+        // that claim 10 bytes each instead of 16. Accepting them would
+        // yield a message whose re-encoding needs 104,808 bytes.
+        let mut wire = encode(
+            Xid(1),
+            &OfMessage::FlowMod {
+                command: FlowModCommand::Add,
+                flow_match: FlowMatch::new(),
+                priority: 1,
+                idle_timeout_secs: 0,
+                hard_timeout_secs: 0,
+                actions: vec![],
+                cookie: 0,
+            },
+        );
+        for _ in 0..6_546 {
+            wire.extend_from_slice(&action_type::SET_DL_SRC.to_be_bytes());
+            wire.extend_from_slice(&10u16.to_be_bytes());
+            wire.extend_from_slice(&[0xaa; 6]);
+        }
+        let len = u16::try_from(wire.len()).expect("fits the length field");
+        wire[2..4].copy_from_slice(&len.to_be_bytes());
+        match decode(&wire) {
+            Err(_) => {}
+            Ok((xid, msg)) => assert_eq!(decode(&encode(xid, &msg)), Ok((xid, msg))),
+        }
+        // The canonical 16-byte form of the same action still decodes.
+        round_trip(OfMessage::PacketOut {
+            in_port: PortNo::NONE,
+            actions: vec![Action::SetEthSrc(MacAddr::from_index(3))],
+            data: vec![],
+        });
     }
 }

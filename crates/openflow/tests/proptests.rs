@@ -143,8 +143,12 @@ tm_prop! {
 // ---------- wire codec ----------
 
 use openflow::wire;
-use openflow::{FlowModCommand, OfMessage, Xid};
-use sdn_types::{IpAddr, MacAddr as Mac};
+use openflow::{
+    FlowModCommand, FlowRemovedReason, FlowStatsEntry, OfMessage, PacketInReason, PortDesc,
+    PortLinkState, PortStatsEntry, PortStatusReason, Xid,
+};
+use sdn_types::{DatapathId, IpAddr, MacAddr as Mac};
+use tm_prop::bytes::mutation;
 
 fn arb_full_match() -> impl Strategy<Value = FlowMatch> {
     (
@@ -186,7 +190,200 @@ fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
     )
 }
 
+fn arb_port_desc() -> impl Strategy<Value = PortDesc> {
+    (any::<u16>(), any::<[u8; 6]>(), any::<bool>()).prop_map(|(port, mac, up)| PortDesc {
+        port_no: PortNo::new(port),
+        hw_addr: Mac::new(mac),
+        state: if up {
+            PortLinkState::Up
+        } else {
+            PortLinkState::Down
+        },
+    })
+}
+
+/// Every `OfMessage` variant, with the field ranges the wire can carry
+/// (xids are 32-bit on the wire; `PortStatus::observed_at` is not sent).
+fn arb_message() -> impl Strategy<Value = OfMessage> {
+    let xid = || any::<u32>().prop_map(|x| Xid(u64::from(x)));
+    prop_oneof![
+        Just(OfMessage::Hello),
+        Just(OfMessage::FeaturesRequest),
+        (xid(), any::<u64>()).prop_map(|(xid, payload)| OfMessage::EchoRequest { xid, payload }),
+        (xid(), any::<u64>()).prop_map(|(xid, payload)| OfMessage::EchoReply { xid, payload }),
+        (any::<u64>(), collection::vec(arb_port_desc(), 0..4)).prop_map(|(dpid, ports)| {
+            OfMessage::FeaturesReply {
+                dpid: DatapathId::new(dpid),
+                ports,
+            }
+        }),
+        (
+            any::<u16>(),
+            any::<bool>(),
+            collection::vec(any::<u8>(), 0..64)
+        )
+            .prop_map(|(port, action, data)| OfMessage::PacketIn {
+                in_port: PortNo::new(port),
+                reason: if action {
+                    PacketInReason::Action
+                } else {
+                    PacketInReason::NoMatch
+                },
+                data,
+            }),
+        (
+            any::<u16>(),
+            arb_actions(),
+            collection::vec(any::<u8>(), 0..64)
+        )
+            .prop_map(|(port, actions, data)| OfMessage::PacketOut {
+                in_port: PortNo::new(port),
+                actions,
+                data,
+            }),
+        (
+            arb_full_match(),
+            arb_actions(),
+            any::<u16>(),
+            any::<u64>(),
+            any::<bool>()
+        )
+            .prop_map(|(flow_match, actions, priority, cookie, delete)| {
+                OfMessage::FlowMod {
+                    command: if delete {
+                        FlowModCommand::Delete
+                    } else {
+                        FlowModCommand::Add
+                    },
+                    flow_match,
+                    priority,
+                    idle_timeout_secs: priority / 3,
+                    hard_timeout_secs: priority / 7,
+                    actions,
+                    cookie,
+                }
+            }),
+        (
+            arb_full_match(),
+            any::<u16>(),
+            0u8..3,
+            any::<u64>(),
+            any::<u64>()
+        )
+            .prop_map(|(flow_match, priority, reason, packet_count, byte_count)| {
+                OfMessage::FlowRemoved {
+                    flow_match,
+                    priority,
+                    reason: match reason {
+                        0 => FlowRemovedReason::IdleTimeout,
+                        1 => FlowRemovedReason::HardTimeout,
+                        _ => FlowRemovedReason::Delete,
+                    },
+                    packet_count,
+                    byte_count,
+                }
+            }),
+        (0u8..3, arb_port_desc()).prop_map(|(reason, desc)| OfMessage::PortStatus {
+            reason: match reason {
+                0 => PortStatusReason::Add,
+                1 => PortStatusReason::Delete,
+                _ => PortStatusReason::Modify,
+            },
+            desc,
+            observed_at: SimTime::ZERO,
+        }),
+        xid().prop_map(|xid| OfMessage::FlowStatsRequest { xid }),
+        xid().prop_map(|xid| OfMessage::PortStatsRequest { xid }),
+        (
+            xid(),
+            collection::vec(
+                (arb_full_match(), any::<u16>(), any::<u64>(), any::<u64>()),
+                0..3
+            )
+        )
+            .prop_map(|(xid, flows)| OfMessage::FlowStatsReply {
+                xid,
+                flows: flows
+                    .into_iter()
+                    .map(
+                        |(flow_match, priority, packet_count, byte_count)| FlowStatsEntry {
+                            flow_match,
+                            priority,
+                            packet_count,
+                            byte_count,
+                        }
+                    )
+                    .collect(),
+            }),
+        (
+            xid(),
+            collection::vec(
+                (
+                    any::<u16>(),
+                    any::<u64>(),
+                    any::<u64>(),
+                    any::<u64>(),
+                    any::<u64>()
+                ),
+                0..3
+            )
+        )
+            .prop_map(|(xid, ports)| OfMessage::PortStatsReply {
+                xid,
+                ports: ports
+                    .into_iter()
+                    .map(
+                        |(port, rx_packets, tx_packets, rx_bytes, tx_bytes)| PortStatsEntry {
+                            port_no: PortNo::new(port),
+                            rx_packets,
+                            tx_packets,
+                            rx_bytes,
+                            tx_bytes,
+                        }
+                    )
+                    .collect(),
+            }),
+    ]
+}
+
 tm_prop! {
+    /// Every message variant round-trips through the wire format as is.
+    #[test]
+    fn wire_every_message_round_trips(xid in any::<u32>(), msg in arb_message()) {
+        let (got_xid, decoded) = wire::decode(&wire::encode(Xid(u64::from(xid)), &msg))
+            .expect("round trip");
+        prop_assert_eq!(decoded, msg);
+        let header_xid = match &msg {
+            OfMessage::EchoRequest { xid, .. }
+            | OfMessage::EchoReply { xid, .. }
+            | OfMessage::FlowStatsRequest { xid }
+            | OfMessage::FlowStatsReply { xid, .. }
+            | OfMessage::PortStatsRequest { xid }
+            | OfMessage::PortStatsReply { xid, .. } => *xid,
+            _ => Xid(u64::from(xid)),
+        };
+        prop_assert_eq!(got_xid, header_xid);
+    }
+
+    /// Truncations, flips and splices of a valid encoding decode to `Err`
+    /// or to a message that is a fixed point of another encode/decode
+    /// round; the decoder never panics.
+    #[test]
+    fn wire_mutated_messages_decode_to_err_or_a_stable_message(
+        xid in any::<u32>(),
+        msg in arb_message(),
+        mutations in collection::vec(mutation(), 1..4),
+    ) {
+        let mut bytes = wire::encode(Xid(u64::from(xid)), &msg);
+        for m in &mutations {
+            bytes = m.apply(&bytes);
+        }
+        if let Ok((xid, decoded)) = wire::decode(&bytes) {
+            let again = wire::decode(&wire::encode(xid, &decoded));
+            prop_assert_eq!(again, Ok((xid, decoded)));
+        }
+    }
+
     /// Any FlowMod survives the OpenFlow 1.0 binary wire format.
     #[test]
     fn wire_flow_mod_round_trips(

@@ -2,30 +2,14 @@
 //! Welford accumulators, confidence intervals, and the paper-style
 //! `value ± CI` text report.
 //!
-//! Two aggregation paths exist, and they are **byte-identical** by
-//! construction:
+//! [`CellAccumulator`] / [`aggregate_stream`] is the streaming path the
+//! runner and `campaign replay` use. Each open cell folds its runs into
+//! [`tm_stats::OnlineStats`] (Welford) accumulators as they arrive in
+//! canonical `(cell, seed-index)` order; when the cell's last seed lands,
+//! the accumulator finalizes into a [`CellReport`] and the raw per-run
+//! metrics are dropped. Resident memory is O(cells) finalized reports plus
+//! O(seeds) samples for the handful of still-open cells — never O(runs).
 //!
-//! * [`CellAccumulator`] / [`aggregate_stream`] — the streaming path the
-//!   runner and `campaign replay` use. Each open cell folds its runs into
-//!   [`tm_stats::OnlineStats`] (Welford) accumulators as they arrive in
-//!   canonical `(cell, seed-index)` order; when the cell's last seed
-//!   lands, the accumulator finalizes into a [`CellReport`] and the raw
-//!   per-run metrics are dropped. Resident memory is O(cells) finalized
-//!   reports plus O(seeds) samples for the handful of still-open cells —
-//!   never O(runs).
-//! * [`aggregate_two_pass`] — the original collect-then-summarize
-//!   reference implementation, retained so the differential suite
-//!   (`crates/tm-campaign/tests/campaign.rs`,
-//!   `crates/bench/tests/streaming_diff.rs`) can pin the streaming path
-//!   against it over every registered scenario.
-//!
-//! Why the two agree to the byte: [`tm_stats::Summary::of`] *is* a
-//! sequential Welford fold, so pushing the same samples in the same
-//! canonical order into an [`tm_stats::OnlineStats`] produces bit-equal
-//! mean/sd/min/max; the t-interval is derived from that summary via
-//! [`tm_stats::t_interval_of`] on both paths; and the exact median is
-//! computed from the cell's own sample buffer, which the streaming path
-//! keeps only while the cell is open. No re-ordering, no re-rounding.
 
 use tm_stats::{quantile, t_interval_of, OnlineStats};
 
@@ -464,106 +448,6 @@ pub fn aggregate_stream(
         grid_cells: grid.len(),
         total_runs,
         cells,
-    })
-}
-
-/// The original two-pass aggregation: collect every [`RunRecord`], then
-/// summarize each cell from the full batch.
-///
-/// Kept **only** as the differential reference for the streaming path —
-/// it holds O(runs) memory by design, which is exactly what the streaming
-/// rebuild removed from the live runner. The differential suites run both
-/// paths over the same recorded stream and assert byte-equal reports.
-///
-/// Requires a complete unsharded batch (`grid.len() × meta.seeds`
-/// records in canonical order).
-pub fn aggregate_two_pass(
-    meta: &CampaignMeta,
-    grid: &[GridPoint],
-    runs: &[RunRecord],
-) -> Result<CampaignReport, String> {
-    if meta.seeds == 0 {
-        return Err("campaign needs at least one seed per cell".to_string());
-    }
-    if runs.len() != grid.len() * meta.seeds {
-        return Err(format!(
-            "two-pass reference needs a complete batch: {} runs for a {}-cell x {}-seed grid",
-            runs.len(),
-            grid.len(),
-            meta.seeds
-        ));
-    }
-    let mut cell_reports = Vec::with_capacity(grid.len());
-    for (index, point) in grid.iter().enumerate() {
-        let cell_runs = runs
-            .get(index * meta.seeds..(index + 1) * meta.seeds)
-            .ok_or_else(|| format!("cell {index} slice out of range"))?;
-
-        // Metric order: first recorded across the cell's runs, canonical.
-        let mut names: Vec<&str> = Vec::new();
-        for run in cell_runs {
-            if let RunStatus::Ok(metrics) = &run.status {
-                for (name, _) in metrics.entries() {
-                    if !names.contains(&name.as_str()) {
-                        names.push(name);
-                    }
-                }
-            }
-        }
-
-        let metrics = names
-            .iter()
-            .map(|name| {
-                let samples: Vec<f64> = cell_runs
-                    .iter()
-                    .filter_map(|run| match &run.status {
-                        RunStatus::Ok(metrics) => metrics.get(name),
-                        RunStatus::Failed(_) => None,
-                    })
-                    .collect();
-                let s = tm_stats::Summary::of(&samples);
-                let ci_half = tm_stats::t_interval(&samples, meta.confidence)
-                    .map(|ci| ci.half_width)
-                    .unwrap_or(0.0);
-                MetricAggregate {
-                    name: name.to_string(),
-                    n: s.count,
-                    mean: s.mean,
-                    sd: s.sd,
-                    min: s.min,
-                    max: s.max,
-                    ci_half,
-                    q50: quantile(&samples, 0.5).unwrap_or(0.0),
-                }
-            })
-            .collect();
-
-        let failures = cell_runs
-            .iter()
-            .filter_map(|run| match &run.status {
-                RunStatus::Failed(cause) => Some((run.seed, cause.clone())),
-                RunStatus::Ok(_) => None,
-            })
-            .collect();
-
-        cell_reports.push(CellReport {
-            index,
-            point: point.clone(),
-            seeds: meta.seeds,
-            failures,
-            metrics,
-        });
-    }
-    Ok(CampaignReport {
-        scenario: meta.scenario.clone(),
-        description: meta.description.clone(),
-        base_seed: meta.base_seed,
-        seeds: meta.seeds,
-        confidence: meta.confidence,
-        shard: Shard::full(),
-        grid_cells: grid.len(),
-        total_runs: runs.len(),
-        cells: cell_reports,
     })
 }
 

@@ -25,8 +25,7 @@
 //!    therefore every aggregate, table and JSON record derived from it —
 //!    is byte-identical for `--workers 1` and `--workers 8`, while peak
 //!    memory stays O(cells), not O(runs). Regression tests pin this
-//!    against the retained two-pass reference
-//!    ([`aggregate_two_pass`]).
+//!    against the original two-pass aggregation, kept in test code.
 //! 4. **Cell-granular sharding.** [`Shard`] `i/n` owns cells
 //!    `index ≡ i (mod n)`; seeds are derived from global indices, so the
 //!    union of all shards' streams merged back into canonical order is
@@ -85,8 +84,7 @@ pub mod runner;
 pub mod shard;
 
 pub use aggregate::{
-    aggregate_stream, aggregate_two_pass, CampaignMeta, CampaignReport, CellAccumulator,
-    CellReport, MetricAggregate,
+    aggregate_stream, CampaignMeta, CampaignReport, CellAccumulator, CellReport, MetricAggregate,
 };
 pub use checkpoint::{grid_fingerprint, CheckpointHeader, Saver};
 pub use registry::{grid_of, Axis, GridPoint, Metrics, Registry, Scenario};

@@ -10,11 +10,15 @@
 //! 5. The union of all shards, merged in cell order, is byte-identical to
 //!    the unsharded run — at every shard count and worker count.
 
+#[path = "support/two_pass.rs"]
+mod two_pass;
+
 use tm_campaign::{
-    aggregate_stream, aggregate_two_pass, run_campaign, run_campaign_with, Axis, CampaignMeta,
-    CampaignSpec, Metrics, RecordingSink, Registry, Resume, RunStatus, Scenario, Shard,
+    aggregate_stream, run_campaign, run_campaign_with, Axis, CampaignMeta, CampaignSpec, Metrics,
+    RecordingSink, Registry, Resume, RunStatus, Scenario, Shard,
 };
 use tm_rand::{Rng, StdRng};
+use two_pass::aggregate_two_pass;
 
 /// A registry of synthetic scenarios: deterministic arithmetic with a
 /// seeded RNG (so distinct seeds genuinely produce distinct samples), and

@@ -155,12 +155,117 @@ pub struct WallStats {
     pub max_ns: u64,
 }
 
+/// Each table's address cache has `2^CACHE_BITS` lines.
+const CACHE_BITS: u32 = 7;
+const CACHE_LINES: usize = 1 << CACHE_BITS;
+
+/// One address-cache line: the literal's address and length, and the
+/// value slot its text resolved to. `len == usize::MAX` marks an empty
+/// line (no `&str` is that long).
+#[derive(Clone, Copy, Debug)]
+struct CacheLine {
+    addr: usize,
+    len: usize,
+    slot: usize,
+}
+
+impl CacheLine {
+    const EMPTY: CacheLine = CacheLine {
+        addr: 0,
+        len: usize::MAX,
+        slot: 0,
+    };
+
+    fn holds(&self, addr: usize, len: usize) -> bool {
+        self.addr == addr && self.len == len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == usize::MAX
+    }
+}
+
+/// One metric kind: values in a dense `Vec`, a name-ordered index of
+/// their slots, and a small cache from a name literal's address to its
+/// slot.
+///
+/// The cache is two-choice: a literal may sit in either of two lines
+/// picked by a hash of its address and length, so a handful of hot names
+/// that happen to share one line do not evict each other on every
+/// publish. The same text can live at two addresses (two crates' copies
+/// of one literal, a leaked `String`); the cache only short-cuts the
+/// index, and a miss resolves the *text* through the index, so both
+/// addresses land on one slot. The address picks cache lines and nothing
+/// else; every output walks the index in name order.
+#[derive(Debug)]
+struct Table<V> {
+    index: BTreeMap<&'static str, usize>,
+    values: Vec<V>,
+    cache: [CacheLine; CACHE_LINES],
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table {
+            index: BTreeMap::new(),
+            values: Vec::new(),
+            cache: [CacheLine::EMPTY; CACHE_LINES],
+        }
+    }
+}
+
+impl<V> Table<V> {
+    /// The value for `name`, created by `init` on first use.
+    fn entry(&mut self, name: &'static str, init: impl FnOnce() -> V) -> &mut V {
+        let addr = name.as_ptr() as usize;
+        let len = name.len();
+        // Fibonacci hashing of the address; the length separates literals
+        // that share a start (a name and its prefix). The top bits pick
+        // the first line, the next ones the second.
+        let mixed =
+            (addr as u64 ^ (len as u64).rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let first = (mixed >> (64 - CACHE_BITS)) as usize;
+        let second = (mixed >> (64 - 2 * CACHE_BITS)) as usize % CACHE_LINES;
+        let slot = if self.cache[first].holds(addr, len) {
+            self.cache[first].slot
+        } else if self.cache[second].holds(addr, len) {
+            self.cache[second].slot
+        } else {
+            let slot = match self.index.get(name) {
+                Some(&slot) => slot,
+                None => {
+                    self.values.push(init());
+                    self.index.insert(name, self.values.len() - 1);
+                    self.values.len() - 1
+                }
+            };
+            // Fill an empty line if there is one; otherwise evict the
+            // first choice, so the second keeps its older tenant.
+            let line = if !self.cache[first].is_empty() && self.cache[second].is_empty() {
+                second
+            } else {
+                first
+            };
+            self.cache[line] = CacheLine { addr, len, slot };
+            slot
+        };
+        &mut self.values[slot]
+    }
+
+    /// `(name, value)` pairs in name order.
+    fn iter(&self) -> impl Iterator<Item = (&'static str, &V)> + '_ {
+        self.index
+            .iter()
+            .map(|(&name, &slot)| (name, &self.values[slot]))
+    }
+}
+
 #[derive(Debug, Default)]
 struct Registry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
-    wall: BTreeMap<&'static str, WallStats>,
+    counters: Table<u64>,
+    gauges: Table<i64>,
+    histograms: Table<Histogram>,
+    wall: Table<WallStats>,
 }
 
 /// A cheaply cloneable handle onto a shared metrics registry (or onto
@@ -197,7 +302,7 @@ impl Telemetry {
     /// Increments counter `name` by `n`.
     pub fn counter_add(&self, name: &'static str, n: u64) {
         if let Some(inner) = &self.inner {
-            *inner.borrow_mut().counters.entry(name).or_insert(0) += n;
+            *inner.borrow_mut().counters.entry(name, || 0) += n;
         }
     }
 
@@ -205,14 +310,14 @@ impl Telemetry {
     /// are accumulated outside the registry on hot paths). Idempotent.
     pub fn counter_set(&self, name: &'static str, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().counters.insert(name, value);
+            *inner.borrow_mut().counters.entry(name, || 0) = value;
         }
     }
 
     /// Sets gauge `name` (last write wins).
     pub fn gauge_set(&self, name: &'static str, value: i64) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().gauges.insert(name, value);
+            *inner.borrow_mut().gauges.entry(name, || 0) = value;
         }
     }
 
@@ -221,7 +326,7 @@ impl Telemetry {
     pub fn gauge_max(&self, name: &'static str, value: i64) {
         if let Some(inner) = &self.inner {
             let mut reg = inner.borrow_mut();
-            let g = reg.gauges.entry(name).or_insert(i64::MIN);
+            let g = reg.gauges.entry(name, || i64::MIN);
             if value > *g {
                 *g = value;
             }
@@ -234,8 +339,7 @@ impl Telemetry {
             inner
                 .borrow_mut()
                 .histograms
-                .entry(name)
-                .or_insert_with(|| Histogram::new(&DEFAULT_BUCKET_BOUNDS_NS))
+                .entry(name, || Histogram::new(&DEFAULT_BUCKET_BOUNDS_NS))
                 .observe(ns);
         }
     }
@@ -271,7 +375,7 @@ impl Telemetry {
     fn record_wall(&self, name: &'static str, elapsed_ns: u64) {
         if let Some(inner) = &self.inner {
             let mut reg = inner.borrow_mut();
-            let w = reg.wall.entry(name).or_default();
+            let w = reg.wall.entry(name, WallStats::default);
             w.count += 1;
             w.total_ns = w.total_ns.saturating_add(elapsed_ns);
             w.max_ns = w.max_ns.max(elapsed_ns);
