@@ -484,6 +484,7 @@ impl ControllerLogic for SdnController {
                     for _ in 0..crate::latency::SAMPLES_AVERAGED {
                         let xid = self.fresh_xid();
                         self.latency.echo_sent(xid.0, dpid, now);
+                        self.telemetry.counter_inc("controller.echo.sent");
                         ctx.send(dpid, OfMessage::EchoRequest { xid, payload: 0 });
                     }
                 }

@@ -141,6 +141,37 @@ mod tests {
     }
 
     #[test]
+    fn every_echo_sent_is_answered_pruned_or_outstanding() {
+        // Stop just after the third periodic echo round (0.25 s, then every
+        // second) has gone out, so its echoes are still in flight; the
+        // three priming echoes per switch must be counted too.
+        let topo = TopoKind::FatTree { k: 4 }.generate(5, 0);
+        let mut spec = topo.build_network(
+            LinkProfile::fixed(Duration::from_micros(50)),
+            LinkProfile::fixed(Duration::from_millis(1)),
+        );
+        spec.set_controller(Box::new(DefenseStack::TopoGuardPlus.build_controller(
+            ControllerConfig {
+                profile: ControllerProfile::FLOODLIGHT,
+                ..ControllerConfig::default()
+            },
+        )));
+        spec.set_telemetry(tm_telemetry::Telemetry::new());
+        let mut sim = Simulator::new(spec, 5);
+        sim.run_for(Duration::from_micros(2_251_000));
+
+        let metrics = sim.metrics_snapshot();
+        let count = |name| metrics.counter(name).unwrap_or(0);
+        let ctrl: &SdnController = sim.controller_as().expect("controller");
+        let outstanding = ctrl.latency().outstanding_count() as u64;
+        assert!(outstanding > 0, "the last round is still in flight");
+        assert_eq!(
+            count("controller.echo.sent"),
+            count("controller.echo.replies") + count("controller.echo.pruned") + outstanding
+        );
+    }
+
+    #[test]
     fn soak_is_a_pure_function_of_its_inputs() {
         let scenario = ScaleScenario::new(
             TopoKind::Ring {
