@@ -11,8 +11,8 @@
 //!   figure from that summary's median (`events_processed` is
 //!   deterministic per topology, so the division is exact given the
 //!   measured wall time). Each record also carries `sched_entry_bytes`,
-//!   the per-entry size the event queue sifts — the boxed-payload
-//!   scheduler pins it at ≤32 bytes.
+//!   the size of the heap entry the event queue sifts — one run of
+//!   same-instant events, pinned at ≤24 bytes whatever the payloads.
 
 use bench::harness::Bench;
 use bench::json::JsonValue;
@@ -97,8 +97,8 @@ fn main() {
             ("events_per_sim_sec", events.into()),
             ("events_per_wall_sec", eps.into()),
             ("median_ns", median_ns.into()),
-            // Bytes a heap sift actually moves per entry; the
-            // boxed-payload scheduler pins this at ≤32 so a payload
+            // Bytes a heap sift actually moves per entry (one run of
+            // same-instant events); pinned at ≤24 so a heap-entry
             // regression shows up in the perf trajectory, not just in the
             // unit test.
             ("sched_entry_bytes", netsim::sched_entry_bytes().into()),

@@ -89,6 +89,10 @@ pub struct SdnController {
     alerts: AlertSink,
     modules: Vec<Box<dyn DefenseModule>>,
     switch_ports: BTreeMap<DatapathId, Vec<PortDesc>>,
+    /// Memoised [`SdnController::tree_flood_ports`], per switch. Cleared
+    /// whenever the link set changes; a switch's entry is dropped when its
+    /// port list changes (`FeaturesReply`, `PortStatus`).
+    flood_scopes: BTreeMap<DatapathId, Vec<PortNo>>,
     next_xid: u64,
     /// The run's metrics handle; disabled until `on_start` clones the
     /// simulation-wide handle out of the context.
@@ -112,6 +116,7 @@ impl SdnController {
             alerts: AlertSink::new(),
             modules: Vec::new(),
             switch_ports: BTreeMap::new(),
+            flood_scopes: BTreeMap::new(),
             next_xid: 1,
             telemetry: Telemetry::disabled(),
             lldp_emitted: 0,
@@ -236,6 +241,22 @@ impl SdnController {
             .unwrap_or_default()
     }
 
+    /// Fills the `flood_scopes` entry for `dpid`. Debug builds check every
+    /// memo hit against a fresh [`SdnController::tree_flood_ports`].
+    fn memoise_flood_scope(&mut self, dpid: DatapathId) {
+        match self.flood_scopes.get(&dpid) {
+            Some(memo) => debug_assert_eq!(
+                *memo,
+                self.tree_flood_ports(dpid),
+                "stale flood scope for {dpid:?}"
+            ),
+            None => {
+                let ports = self.tree_flood_ports(dpid);
+                self.flood_scopes.insert(dpid, ports);
+            }
+        }
+    }
+
     fn emit_lldp_round(&mut self, ctx: &mut ControllerCtx<'_>) {
         let now = ctx.now();
         self.telemetry.counter_inc("controller.discovery.rounds");
@@ -277,6 +298,9 @@ impl SdnController {
 
         // Link expiry shares the discovery cadence.
         let expired = self.topology.expire(now, self.config.profile.link_timeout);
+        if !expired.is_empty() {
+            self.flood_scopes.clear();
+        }
         self.telemetry
             .counter_add("controller.topology.links_expired", expired.len() as u64);
         for link in expired {
@@ -351,7 +375,9 @@ impl SdnController {
         if is_new {
             self.telemetry.counter_inc("controller.topology.links_new");
         }
-        self.topology.observe(link, now, latency_ms);
+        if self.topology.observe(link, now, latency_ms) {
+            self.flood_scopes.clear();
+        }
     }
 
     fn handle_dataplane_in(
@@ -424,7 +450,8 @@ impl SdnController {
         // Reactive forwarding.
         if self.config.forwarding {
             let scope = if self.config.tree_scoped_flood {
-                Some(self.tree_flood_ports(dpid))
+                self.memoise_flood_scope(dpid);
+                self.flood_scopes.get(&dpid).map(Vec::as_slice)
             } else {
                 None
             };
@@ -434,7 +461,7 @@ impl SdnController {
                 dpid,
                 in_port,
                 frame,
-                scope.as_deref(),
+                scope,
             );
             for (target, msg) in msgs {
                 if matches!(msg, OfMessage::FlowMod { .. }) {
@@ -476,6 +503,7 @@ impl ControllerLogic for SdnController {
             OfMessage::Hello => {}
             OfMessage::FeaturesReply { dpid, ports } => {
                 self.switch_ports.insert(dpid, ports);
+                self.flood_scopes.remove(&dpid);
                 // Prime the control-link latency estimate immediately on
                 // connect so LLDP latency samples are available from the
                 // first discovery round.
@@ -490,6 +518,7 @@ impl ControllerLogic for SdnController {
                 }
             }
             OfMessage::PortStatus { reason, desc, .. } => {
+                self.flood_scopes.remove(&dpid);
                 if let Some(ports) = self.switch_ports.get_mut(&dpid) {
                     match ports.iter_mut().find(|p| p.port_no == desc.port_no) {
                         Some(p) => *p = desc,

@@ -4,6 +4,7 @@
 use controller::{ControllerConfig, ControllerProfile, DirectedLink, SdnController};
 use netsim::apps::PeriodicPinger;
 use netsim::{LinkProfile, NetworkSpec, Simulator};
+use sdn_types::packet::{ArpPacket, EthernetFrame, Payload};
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SwitchPort};
 
 const S1: DatapathId = DatapathId::new(1);
@@ -256,4 +257,57 @@ fn signed_lldp_accepts_own_probes() {
     sim.run_for(Duration::from_secs(1));
     let ctrl: &SdnController = sim.controller_as().expect("controller");
     assert_eq!(ctrl.topology().len(), 2, "self-signed probes accepted");
+}
+
+#[test]
+fn scoped_flood_follows_link_discovery() {
+    // Three switches in a triangle (a physical cycle), one host on each.
+    // The flood scope is memoised per switch: a broadcast before the first
+    // LLDP round floods every port, since no trunk is known yet; once the
+    // links are discovered, the off-tree trunk must leave every switch's
+    // scope. Debug builds check each memo hit against a fresh computation,
+    // and a stale memo would keep the cycle open: the second broadcast
+    // would circulate instead of reaching each switch once.
+    let s3 = DatapathId::new(3);
+    let h3 = HostId::new(3);
+    let link = LinkProfile::fixed(Duration::from_millis(5));
+    let mut spec = NetworkSpec::new();
+    for dpid in [S1, S2, s3] {
+        spec.add_switch(dpid);
+    }
+    spec.link_switches(S1, PortNo::new(1), S2, PortNo::new(1), link);
+    spec.link_switches(S2, PortNo::new(2), s3, PortNo::new(1), link);
+    spec.link_switches(s3, PortNo::new(2), S1, PortNo::new(2), link);
+    for (i, (host, dpid)) in [(H1, S1), (H2, S2), (h3, s3)].into_iter().enumerate() {
+        let i = i as u32 + 1;
+        spec.add_host(host, mac(i), ip(i as u16));
+        spec.attach_host(host, dpid, PortNo::new(3), link);
+    }
+    spec.set_controller(Box::new(SdnController::new(ControllerConfig {
+        tree_scoped_flood: true,
+        ..ControllerConfig::default()
+    })));
+    let mut sim = Simulator::new(spec, 5);
+    // An ARP for an address nobody holds: it floods and draws no reply.
+    let broadcast = || {
+        EthernetFrame::new(
+            mac(1),
+            MacAddr::BROADCAST,
+            Payload::Arp(ArpPacket::request(mac(1), ip(1), ip(9))),
+        )
+    };
+
+    sim.run_for(Duration::from_millis(10));
+    assert!(sim.host_send_frame(H1, broadcast()));
+    sim.run_for(Duration::from_secs(1));
+    let before = {
+        let ctrl: &SdnController = sim.controller_as().expect("controller");
+        assert_eq!(ctrl.topology().len(), 6, "all three trunks discovered");
+        ctrl.packet_ins
+    };
+
+    assert!(sim.host_send_frame(H1, broadcast()));
+    sim.run_for(Duration::from_millis(200));
+    let ctrl: &SdnController = sim.controller_as().expect("controller");
+    assert_eq!(ctrl.packet_ins - before, 3, "one Packet-In per switch");
 }

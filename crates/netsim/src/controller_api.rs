@@ -12,7 +12,7 @@ use tm_rand::StdRng;
 use openflow::{OfMessage, PortDesc};
 use sdn_types::{DatapathId, Duration, SimTime};
 
-use crate::engine::{CtrlDelivery, Event, SimCore};
+use crate::engine::{Event, SimCore};
 use crate::sim::NetState;
 
 /// A controller-chosen timer identifier.
@@ -52,10 +52,8 @@ impl ControllerCtx<'_> {
         // down (PacketOut direction).
         let latency =
             sw.ctrl_latency + self.net.faults.ctrl_extra_delay(dpid, &self.core.telemetry);
-        self.core.schedule(
-            latency,
-            Event::CtrlToSwitch(Box::new(CtrlDelivery { dpid, msg })),
-        );
+        self.core
+            .schedule(latency, Event::CtrlToSwitch { dpid, msg });
         true
     }
 

@@ -1,5 +1,6 @@
 //! The discrete-event core: clock, deterministic event queue, RNG.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use tm_rand::StdRng;
@@ -15,90 +16,53 @@ use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 pub const PULSE_WINDOW: (Duration, Duration) =
     (Duration::from_millis(8), Duration::from_millis(24));
 
-/// Payload of [`Event::DeliverToSwitch`]: a dataplane frame headed for a
-/// switch port. Boxed so [`Scheduled`] entries stay sift-cheap.
-#[derive(Debug)]
-pub(crate) struct SwitchDelivery {
-    /// Receiving switch.
-    pub(crate) dpid: DatapathId,
-    /// Ingress port.
-    pub(crate) port: PortNo,
-    /// The frame.
-    pub(crate) frame: EthernetFrame,
-}
-
-/// Payload of [`Event::DeliverToHost`]: a dataplane frame headed for a host
-/// interface.
-#[derive(Debug)]
-pub(crate) struct HostDelivery {
-    /// Receiving host.
-    pub(crate) host: HostId,
-    /// The frame.
-    pub(crate) frame: EthernetFrame,
-}
-
-/// Payload of [`Event::DeliverOob`]: a side-channel frame between hosts.
-#[derive(Debug)]
-pub(crate) struct OobDelivery {
-    /// Receiving host.
-    pub(crate) to: HostId,
-    /// Sending host.
-    pub(crate) from: HostId,
-    /// The frame.
-    pub(crate) frame: EthernetFrame,
-}
-
-/// Payload of [`Event::CtrlToSwitch`] / [`Event::CtrlToController`]: an
-/// OpenFlow message in flight on a control channel.
-#[derive(Debug)]
-pub(crate) struct CtrlDelivery {
-    /// The switch end of the control channel.
-    pub(crate) dpid: DatapathId,
-    /// The message.
-    pub(crate) msg: OfMessage,
-}
-
-/// Payload of [`Event::PulseCheck`]: a link-integrity-pulse deadline.
-#[derive(Debug)]
-pub(crate) struct PulseDue {
-    /// The switch.
-    pub(crate) dpid: DatapathId,
-    /// The port.
-    pub(crate) port: PortNo,
-    /// The interface down-epoch this check corresponds to.
-    pub(crate) down_epoch: u64,
-}
-
-/// Payload of [`Event::HostIfaceUp`]: a completing interface bring-up.
-#[derive(Debug)]
-pub(crate) struct IfaceUp {
-    /// The host.
-    pub(crate) host: HostId,
-    /// The bring-up epoch (stale events are ignored).
-    pub(crate) epoch: u64,
-    /// New identity to assume, if the bring-up changes identifiers.
-    pub(crate) identity: Option<(MacAddr, IpAddr)>,
-}
-
 /// An event in the simulation.
 ///
-/// Variants whose payload exceeds a couple of machine words (frames,
-/// OpenFlow messages, identity tuples) carry it boxed: every pending event
-/// is moved repeatedly by heap sifts, so the inline size of this enum —
-/// not the payload size — is what the scheduler pays per comparison. See
-/// the `scheduled_entries_are_sift_cheap` test for the enforced bound.
+/// Payloads are carried inline: a pending event sits still in its slab
+/// slot while the heap sifts 24-byte run entries, so the size of this enum
+/// costs one move in and one move out, not one per sift. See the
+/// `scheduled_entries_are_sift_cheap` test for the enforced bounds.
 #[derive(Debug)]
 pub(crate) enum Event {
     /// A dataplane frame arrives at a switch port.
-    DeliverToSwitch(Box<SwitchDelivery>),
+    DeliverToSwitch {
+        /// Receiving switch.
+        dpid: DatapathId,
+        /// Ingress port.
+        port: PortNo,
+        /// The frame.
+        frame: EthernetFrame,
+    },
     /// A dataplane frame arrives at a host interface.
-    DeliverToHost(Box<HostDelivery>),
+    DeliverToHost {
+        /// Receiving host.
+        host: HostId,
+        /// The frame.
+        frame: EthernetFrame,
+    },
     /// An out-of-band (side channel) frame arrives at a host.
-    DeliverOob(Box<OobDelivery>),
+    DeliverOob {
+        /// Receiving host.
+        to: HostId,
+        /// Sending host.
+        from: HostId,
+        /// The frame.
+        frame: EthernetFrame,
+    },
     /// A control message arrives at a switch.
-    CtrlToSwitch(Box<CtrlDelivery>),
+    CtrlToSwitch {
+        /// The switch end of the control channel.
+        dpid: DatapathId,
+        /// The message.
+        msg: OfMessage,
+    },
     /// A control message arrives at the controller.
-    CtrlToController(Box<CtrlDelivery>),
+    CtrlToController {
+        /// The switch end of the control channel.
+        dpid: DatapathId,
+        /// The message.
+        msg: OfMessage,
+    },
     /// A controller timer fires.
     ControllerTimer {
         /// Timer id chosen by the controller.
@@ -119,7 +83,14 @@ pub(crate) enum Event {
     /// Link-integrity-pulse deadline: if the host interface attached to this
     /// port has been down continuously since `down_epoch`, the switch
     /// declares the port down.
-    PulseCheck(Box<PulseDue>),
+    PulseCheck {
+        /// The switch.
+        dpid: DatapathId,
+        /// The port.
+        port: PortNo,
+        /// The interface down-epoch this check corresponds to.
+        down_epoch: u64,
+    },
     /// Link pulses resumed on a port whose attached interface came back up;
     /// the switch re-detects the link unless traffic already did.
     PulseCheckUp {
@@ -129,7 +100,14 @@ pub(crate) enum Event {
         port: PortNo,
     },
     /// An in-progress `ifconfig`-style interface bring-up completes.
-    HostIfaceUp(Box<IfaceUp>),
+    HostIfaceUp {
+        /// The host.
+        host: HostId,
+        /// The bring-up epoch (stale events are ignored).
+        epoch: u64,
+        /// New identity to assume, if the bring-up changes identifiers.
+        identity: Option<(MacAddr, IpAddr)>,
+    },
     /// A windowed fault (loss / latency spike / control congestion)
     /// activates.
     FaultWindowStart {
@@ -186,17 +164,17 @@ impl Event {
     /// A stable `&'static str` name for per-kind telemetry counters.
     pub(crate) fn kind(&self) -> &'static str {
         match self {
-            Event::DeliverToSwitch(_) => "netsim.event.deliver_to_switch",
-            Event::DeliverToHost(_) => "netsim.event.deliver_to_host",
-            Event::DeliverOob(_) => "netsim.event.deliver_oob",
-            Event::CtrlToSwitch(_) => "netsim.event.ctrl_to_switch",
-            Event::CtrlToController(_) => "netsim.event.ctrl_to_controller",
+            Event::DeliverToSwitch { .. } => "netsim.event.deliver_to_switch",
+            Event::DeliverToHost { .. } => "netsim.event.deliver_to_host",
+            Event::DeliverOob { .. } => "netsim.event.deliver_oob",
+            Event::CtrlToSwitch { .. } => "netsim.event.ctrl_to_switch",
+            Event::CtrlToController { .. } => "netsim.event.ctrl_to_controller",
             Event::ControllerTimer { .. } => "netsim.event.controller_timer",
             Event::HostTimer { .. } => "netsim.event.host_timer",
             Event::SwitchExpiryTick { .. } => "netsim.event.switch_expiry_tick",
-            Event::PulseCheck(_) => "netsim.event.pulse_check",
+            Event::PulseCheck { .. } => "netsim.event.pulse_check",
             Event::PulseCheckUp { .. } => "netsim.event.pulse_check_up",
-            Event::HostIfaceUp(_) => "netsim.event.host_iface_up",
+            Event::HostIfaceUp { .. } => "netsim.event.host_iface_up",
             Event::FaultWindowStart { .. } => "netsim.event.fault_window_start",
             Event::FaultWindowEnd { .. } => "netsim.event.fault_window_end",
             Event::FaultLinkDown { .. } => "netsim.event.fault_link_down",
@@ -209,40 +187,157 @@ impl Event {
     }
 }
 
-/// Size in bytes of one queued entry — what every heap sift moves per
-/// swap. Kept ≤ 32 by boxing fat event payloads; exposed so benches can
-/// record the footprint next to their throughput numbers.
+/// Size in bytes of one heap entry — what every heap sift moves per swap.
+/// The heap holds runs of same-instant events, not the events themselves,
+/// so this stays 24 bytes whatever the payloads weigh; exposed so benches
+/// can record the footprint next to their throughput numbers.
 pub fn sched_entry_bytes() -> usize {
-    std::mem::size_of::<Scheduled>()
+    std::mem::size_of::<Run>()
 }
 
-/// A queued event with its firing time and tie-break sequence number.
-///
-/// Ordered by `(at, seq)` reversed, so the max-heap [`BinaryHeap`] pops
-/// the earliest time first and, within a tie, the earliest scheduled.
-#[derive(Debug)]
-pub(crate) struct Scheduled {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) event: Event,
+/// Slots per slab page. A page is allocated whole and never moves, so the
+/// slab grows without copying live events and without the doubling
+/// overshoot of one contiguous buffer.
+const PAGE_SLOTS: usize = 128;
+
+/// The end of a slot chain (run tail or free list).
+const NIL: u32 = u32::MAX;
+
+/// One pending event, linked to the next event of its run (or, once
+/// freed, to the next free slot). `seq` is the event's tie-break number,
+/// kept per slot so the debug pop checker sees every event's own seq.
+struct Slot {
+    event: Option<Event>,
+    seq: u64,
+    next: u32,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// Paged storage for pending events. Slots are addressed by `u32` index
+/// and reused LIFO through a free list threaded through `next`.
+struct Slab {
+    pages: Vec<Box<[Slot]>>,
+    /// Head of the free list.
+    free: u32,
+    /// Slots ever handed out; every slot below this index exists.
+    used: u32,
+}
+
+impl Slab {
+    fn new() -> Self {
+        Slab {
+            pages: Vec::new(),
+            free: NIL,
+            used: 0,
+        }
+    }
+
+    fn slot_mut(&mut self, index: u32) -> &mut Slot {
+        let index = index as usize;
+        match self
+            .pages
+            .get_mut(index / PAGE_SLOTS)
+            .and_then(|page| page.get_mut(index % PAGE_SLOTS))
+        {
+            Some(slot) => slot,
+            None => unreachable!("slab slot {index} was never allocated"),
+        }
+    }
+
+    /// Stores `event` in a free slot and returns the slot's index.
+    fn insert(&mut self, event: Event, seq: u64) -> u32 {
+        let index = if self.free == NIL {
+            let index = self.used;
+            assert!(index < NIL, "event slab exhausted");
+            if index as usize % PAGE_SLOTS == 0 {
+                self.pages.push(
+                    (0..PAGE_SLOTS)
+                        .map(|_| Slot {
+                            event: None,
+                            seq: 0,
+                            next: NIL,
+                        })
+                        .collect(),
+                );
+            }
+            self.used += 1;
+            index
+        } else {
+            let index = self.free;
+            self.free = self.slot_mut(index).next;
+            index
+        };
+        *self.slot_mut(index) = Slot {
+            event: Some(event),
+            seq,
+            next: NIL,
+        };
+        index
+    }
+
+    /// Takes the event out of slot `index` and frees the slot. Returns the
+    /// event, its seq and the next slot of its run.
+    fn remove(&mut self, index: u32) -> (Event, u64, u32) {
+        let free = self.free;
+        let slot = self.slot_mut(index);
+        let next = std::mem::replace(&mut slot.next, free);
+        let Some(event) = slot.event.take() else {
+            unreachable!("slab slot {index} removed twice");
+        };
+        let seq = slot.seq;
+        self.free = index;
+        (event, seq, next)
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+
+/// A run: the events of a maximal block of consecutive `schedule` calls
+/// for the same instant, chained FIFO through their slab slots.
+///
+/// Seqs are handed out densely, so a run is a contiguous block of seqs and
+/// no two runs interleave. Ordering runs by `(at, first seq)` and draining
+/// each one front to back therefore pops events in exactly `(at, seq)`
+/// order. A run's `seq` stays its first event's even as the head advances,
+/// so draining a run in place never moves it within the heap.
+struct Run {
+    at: SimTime,
+    /// Seq of the run's first event.
+    seq: u64,
+    /// Slot of the next event to pop.
+    head: u32,
+    /// Slot of the last event; the open run appends here.
+    tail: u32,
+}
+
+impl Run {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+
+    /// Takes the head event out of `slab` and advances the head. Returns
+    /// the event, its seq and whether that drained the run.
+    fn pop_head(&mut self, slab: &mut Slab) -> (Event, u64, bool) {
+        let (event, seq, next) = slab.remove(self.head);
+        let drained = self.head == self.tail;
+        self.head = next;
+        (event, seq, drained)
+    }
+}
+
+impl PartialEq for Run {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl Eq for Run {}
+impl PartialOrd for Run {
     // tm-lint: allow(float-ordering) -- PartialOrd impl over integer (SimTime, seq) keys; no floats involved
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl Ord for Run {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse to pop the earliest (time, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -282,10 +377,20 @@ impl PopInvariants {
 }
 
 /// Clock + queue + RNG. Shared mutably by every dispatch path.
+///
+/// The queue is one [`BinaryHeap`] of [`Run`]s over a [`Slab`] of events.
+/// The most recent run stays open outside the heap, so a burst of
+/// schedules for one instant (an LLDP round, an echo sweep, a flood)
+/// appends to it in O(1) and costs a single heap entry.
 pub(crate) struct SimCore {
     clock: SimTime,
     seq: u64,
-    queue: BinaryHeap<Scheduled>,
+    runs: BinaryHeap<Run>,
+    /// The run the next same-instant schedule appends to.
+    open: Option<Run>,
+    slab: Slab,
+    /// Pending events (not runs).
+    pending: usize,
     pub(crate) rng: StdRng,
     /// Shared metrics handle (disabled by default: every publish is a no-op).
     pub(crate) telemetry: Telemetry,
@@ -303,7 +408,10 @@ impl SimCore {
         SimCore {
             clock: SimTime::ZERO,
             seq: 0,
-            queue: BinaryHeap::new(),
+            runs: BinaryHeap::new(),
+            open: None,
+            slab: Slab::new(),
+            pending: 0,
             rng: StdRng::seed_from_u64(seed),
             telemetry,
             events_scheduled: 0,
@@ -318,9 +426,10 @@ impl SimCore {
         self.clock
     }
 
-    /// Schedules `event` to fire `delay` after the current time.
+    /// Schedules `event` to fire `delay` after the current time (saturating
+    /// at the end of time rather than wrapping into the past).
     pub(crate) fn schedule(&mut self, delay: Duration, event: Event) {
-        let at = self.clock + delay;
+        let at = self.clock.saturating_add(delay);
         self.schedule_at(at, event);
     }
 
@@ -333,25 +442,72 @@ impl SimCore {
         // the next integer); overflow would wrap ties back to the front.
         debug_assert!(seq < u64::MAX, "seq counter exhausted");
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, event });
+        let slot = self.slab.insert(event, seq);
+        match &mut self.open {
+            Some(run) if run.at == at => {
+                self.slab.slot_mut(run.tail).next = slot;
+                run.tail = slot;
+            }
+            open => {
+                let fresh = Run {
+                    at,
+                    seq,
+                    head: slot,
+                    tail: slot,
+                };
+                if let Some(closed) = open.replace(fresh) {
+                    self.runs.push(closed);
+                }
+            }
+        }
         self.events_scheduled += 1;
-        if self.queue.len() > self.queue_highwater {
-            self.queue_highwater = self.queue.len();
+        self.pending += 1;
+        if self.pending > self.queue_highwater {
+            self.queue_highwater = self.pending;
         }
     }
 
     /// Pops the next event if it fires at or before `horizon`, advancing the
     /// clock to the event time.
     pub(crate) fn pop_until(&mut self, horizon: SimTime) -> Option<Event> {
-        if self.queue.peek()?.at > horizon {
-            return None;
-        }
-        let s = self.queue.pop()?;
+        // The earlier of the open run and the heap top by (at, first seq).
+        let from_open = match (&self.open, self.runs.peek()) {
+            (Some(open), Some(top)) => open.key() < top.key(),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        let (event, at, seq) = if from_open {
+            let run = self.open.as_mut()?;
+            if run.at > horizon {
+                return None;
+            }
+            let at = run.at;
+            let (event, seq, drained) = run.pop_head(&mut self.slab);
+            if drained {
+                self.open = None;
+            }
+            (event, at, seq)
+        } else {
+            let mut top = self.runs.peek_mut()?;
+            if top.at > horizon {
+                return None;
+            }
+            let at = top.at;
+            let (event, seq, drained) = top.pop_head(&mut self.slab);
+            if drained {
+                PeekMut::pop(top);
+            }
+            (event, at, seq)
+        };
         #[cfg(debug_assertions)]
-        self.invariants.check(s.at, s.seq, self.clock);
-        self.clock = s.at;
+        self.invariants.check(at, seq, self.clock);
+        #[cfg(not(debug_assertions))]
+        let _ = seq;
+        self.clock = at;
+        self.pending -= 1;
         self.events_processed += 1;
-        Some(s.event)
+        Some(event)
     }
 
     /// Flushes the scalar engine totals into the registry (idempotent
@@ -381,15 +537,29 @@ impl SimCore {
     /// Number of pending events.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn pending(&self) -> usize {
-        self.queue.len()
+        self.pending
     }
 
-    /// Pushes a raw `(at, seq)` entry, bypassing the monotonic clamp and
-    /// the dense seq counter — i.e. deliberately breaks the scheduler.
-    /// Exists only so tests can prove the invariant checker catches it.
+    /// Number of runs waiting in the heap (the open run excluded).
+    #[cfg(test)]
+    fn heap_entries(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Pushes a raw `(at, seq)` entry as a run of its own, bypassing the
+    /// monotonic clamp and the dense seq counter — i.e. deliberately
+    /// breaks the scheduler. Exists only so tests can prove the invariant
+    /// checker catches it.
     #[cfg(test)]
     pub(crate) fn push_raw_for_test(&mut self, at: SimTime, seq: u64, event: Event) {
-        self.queue.push(Scheduled { at, seq, event });
+        let slot = self.slab.insert(event, seq);
+        self.runs.push(Run {
+            at,
+            seq,
+            head: slot,
+            tail: slot,
+        });
+        self.pending += 1;
     }
 }
 
@@ -399,19 +569,21 @@ mod tests {
 
     #[test]
     fn scheduled_entries_are_sift_cheap() {
-        // Every pending event is moved by heap sifts; boxing the fat
-        // payloads keeps each move to at most four machine words: `at` +
-        // `seq` + a 16-byte `Event` (tag plus one aligned word). A
-        // regression here means someone inlined a payload.
+        // Heap sifts move runs, never events: a run is `at` + first `seq`
+        // + two `u32` slot links. A regression here means someone put a
+        // payload (or a wider link) into the heap entry.
         assert!(
-            std::mem::size_of::<Event>() <= 16,
-            "Event grew to {} bytes — box the new payload",
-            std::mem::size_of::<Event>()
+            std::mem::size_of::<Run>() <= 24,
+            "Run grew to {} bytes — the sift bound is 24",
+            std::mem::size_of::<Run>()
         );
+        // Payloads sit inline in slab slots, so a fatter payload costs slab
+        // memory and a wider move in and out. 128 bytes is today's
+        // `Event` (112) + seq + link; growing past it must be a decision.
         assert!(
-            std::mem::size_of::<Scheduled>() <= 32,
-            "Scheduled grew to {} bytes — the sift bound is 32",
-            std::mem::size_of::<Scheduled>()
+            std::mem::size_of::<Slot>() <= 128,
+            "Slot grew to {} bytes — a payload got fatter; box it or raise the bound deliberately",
+            std::mem::size_of::<Slot>()
         );
     }
 
@@ -523,5 +695,165 @@ mod tests {
         core.advance_to(SimTime::from_millis(20));
         core.advance_to(SimTime::from_millis(10));
         assert_eq!(core.now(), SimTime::from_millis(20));
+    }
+
+    #[test]
+    fn schedule_saturates_instead_of_wrapping() {
+        // A timer `u64::MAX` ns out from t = 10 ms lies past the end of
+        // time. It must park at the end, not overflow: debug builds used
+        // to panic in the add, release builds wrapped it into the past
+        // and fired it at once.
+        let mut core = core();
+        core.advance_to(SimTime::from_millis(10));
+        core.schedule(
+            Duration::from_nanos(u64::MAX),
+            Event::ControllerTimer { id: 1 },
+        );
+        assert!(core.pop_until(SimTime::from_secs(1)).is_none());
+        assert_eq!(core.pending(), 1);
+        assert_eq!(core.now(), SimTime::from_millis(10));
+    }
+
+    fn timer_id(event: Event) -> u64 {
+        match event {
+            Event::ControllerTimer { id } => id,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    /// Pops every pending event and returns the timer ids in pop order.
+    fn drain_ids(core: &mut SimCore) -> Vec<u64> {
+        std::iter::from_fn(|| core.pop_until(SimTime::from_nanos(u64::MAX)))
+            .map(timer_id)
+            .collect()
+    }
+
+    #[test]
+    fn a_same_instant_burst_is_one_heap_entry() {
+        // One LLDP round of `discovery-4k`: a Packet-Out per port.
+        let mut core = core();
+        for id in 0..16_024 {
+            core.schedule(Duration::from_millis(1), Event::ControllerTimer { id });
+        }
+        // A later instant closes the burst's run into the heap.
+        core.schedule(
+            Duration::from_millis(2),
+            Event::ControllerTimer { id: 16_024 },
+        );
+        assert_eq!(core.heap_entries(), 1);
+        assert_eq!(core.pending(), 16_025);
+        assert_eq!(drain_ids(&mut core), (0..16_025).collect::<Vec<_>>());
+        assert_eq!(core.pending(), 0);
+    }
+
+    #[test]
+    fn alternating_instants_give_one_run_per_event() {
+        let mut core = core();
+        for id in 0..64 {
+            let delay = Duration::from_millis(1 + id % 2);
+            core.schedule(delay, Event::ControllerTimer { id });
+        }
+        // Every schedule changed instant, so each event is its own run:
+        // 63 closed into the heap, the last one still open.
+        assert_eq!(core.heap_entries(), 63);
+        let (even, odd): (Vec<u64>, Vec<u64>) = (0..64).partition(|id| id % 2 == 0);
+        assert_eq!(drain_ids(&mut core), [even, odd].concat());
+    }
+
+    /// The scheduler the run queue replaced: one heap entry per event,
+    /// ordered by `(at, seq)`. The property below holds [`SimCore`] to it.
+    #[derive(Default)]
+    struct OracleQueue {
+        clock: SimTime,
+        seq: u64,
+        heap: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
+    }
+
+    impl OracleQueue {
+        fn schedule_at(&mut self, at: SimTime, id: u64) {
+            let at = at.max(self.clock);
+            self.heap.push(std::cmp::Reverse((at, self.seq, id)));
+            self.seq += 1;
+        }
+
+        fn pop_until(&mut self, horizon: SimTime) -> Option<u64> {
+            let std::cmp::Reverse((at, _, _)) = self.heap.peek()?;
+            if *at > horizon {
+                return None;
+            }
+            let std::cmp::Reverse((at, _, id)) = self.heap.pop()?;
+            self.clock = at;
+            Some(id)
+        }
+
+        fn advance_to(&mut self, horizon: SimTime) {
+            self.clock = self.clock.max(horizon);
+        }
+    }
+
+    tm_prop::tm_prop! {
+        /// The run queue pops exactly what the one-entry-per-event heap
+        /// pops. Each step is chosen by `op`: a zero-delay schedule, a
+        /// same-instant burst, a burst alternating between two instants, a
+        /// schedule in the past (clamped to now), a `pop_until` at a random
+        /// horizon, or an `advance_to`. After every step the popped ids,
+        /// the clock and `pending()` must agree with the oracle.
+        #[test]
+        fn run_queue_matches_the_per_event_heap(
+            steps in tm_prop::collection::vec((0u8..6, 0u64..8, 1u64..6), 1..64),
+        ) {
+            let mut core = core();
+            let mut oracle = OracleQueue::default();
+            let mut next_id = 0u64;
+            let mut schedule = |core: &mut SimCore, oracle: &mut OracleQueue, at: SimTime| {
+                core.schedule_at(at, Event::ControllerTimer { id: next_id });
+                oracle.schedule_at(at, next_id);
+                next_id += 1;
+            };
+            for &(op, a, n) in &steps {
+                let now = core.now();
+                let ms = Duration::from_millis;
+                match op {
+                    0 => schedule(&mut core, &mut oracle, now),
+                    1 => {
+                        for _ in 0..n {
+                            schedule(&mut core, &mut oracle, now + ms(a));
+                        }
+                    }
+                    2 => {
+                        for i in 0..2 * n {
+                            schedule(&mut core, &mut oracle, now + ms(a + i % 2));
+                        }
+                    }
+                    3 => {
+                        let past = SimTime::from_nanos(now.as_nanos().saturating_sub(ms(a).as_nanos()));
+                        schedule(&mut core, &mut oracle, past);
+                    }
+                    4 => {
+                        let horizon = now + ms(a);
+                        for _ in 0..n {
+                            let popped = core.pop_until(horizon).map(timer_id);
+                            tm_prop::prop_assert_eq!(popped, oracle.pop_until(horizon));
+                        }
+                    }
+                    _ => {
+                        // `Simulator::run_until`: drain to the horizon,
+                        // then move the clock onto it.
+                        let horizon = now + ms(a);
+                        loop {
+                            let popped = core.pop_until(horizon).map(timer_id);
+                            tm_prop::prop_assert_eq!(popped, oracle.pop_until(horizon));
+                            if popped.is_none() {
+                                break;
+                            }
+                        }
+                        core.advance_to(horizon);
+                        oracle.advance_to(horizon);
+                    }
+                }
+                tm_prop::prop_assert_eq!(core.now(), oracle.clock);
+                tm_prop::prop_assert_eq!(core.pending(), oracle.heap.len());
+            }
+        }
     }
 }

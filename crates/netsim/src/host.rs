@@ -13,7 +13,7 @@ use sdn_types::packet::{
 };
 use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime, SwitchPort};
 
-use crate::engine::{Event, IfaceUp, OobDelivery, PulseDue, SimCore, SwitchDelivery, PULSE_WINDOW};
+use crate::engine::{Event, SimCore, PULSE_WINDOW};
 use crate::sim::NetState;
 use crate::trace::TraceEvent;
 
@@ -216,10 +216,8 @@ impl HostCtx<'_> {
             self.core.telemetry.counter_inc("netsim.link.fifo_clamped");
         }
         self.core.telemetry.counter_inc("netsim.host.tx_frames");
-        self.core.schedule_at(
-            at,
-            Event::DeliverToSwitch(Box::new(SwitchDelivery { dpid, port, frame })),
-        );
+        self.core
+            .schedule_at(at, Event::DeliverToSwitch { dpid, port, frame });
         true
     }
 
@@ -261,11 +259,11 @@ impl HostCtx<'_> {
         let window = Duration::from_nanos(self.core.rng.gen_range(lo.as_nanos()..hi.as_nanos()));
         self.core.schedule(
             window,
-            Event::PulseCheck(Box::new(PulseDue {
+            Event::PulseCheck {
                 dpid,
                 port,
                 down_epoch: epoch,
-            })),
+            },
         );
     }
 
@@ -285,11 +283,11 @@ impl HostCtx<'_> {
         };
         self.core.schedule(
             delay,
-            Event::HostIfaceUp(Box::new(IfaceUp {
+            Event::HostIfaceUp {
                 host,
                 epoch,
                 identity,
-            })),
+            },
         );
     }
 
@@ -374,11 +372,11 @@ impl HostCtx<'_> {
         let delay = ch.latency + ch.codec_cost;
         self.core.schedule(
             delay,
-            Event::DeliverOob(Box::new(OobDelivery {
+            Event::DeliverOob {
                 to: peer,
                 from: me,
                 frame,
-            })),
+            },
         );
         true
     }

@@ -8,7 +8,7 @@ use sdn_types::{DatapathId, Duration, HostId, IpAddr, MacAddr, PortNo, SimTime};
 use tm_telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::controller_api::{ControllerCtx, ControllerLogic, NullController};
-use crate::engine::{CtrlDelivery, Event, SimCore};
+use crate::engine::{Event, SimCore};
 use crate::faults::{FaultPlan, FaultState, FaultWindowKind};
 use crate::host::{deliver_frame, HostApp, HostCtx, HostInfo, HostState};
 use crate::link::LinkProfile;
@@ -244,17 +244,17 @@ impl Simulator {
             let ports = sw.port_descs();
             sim.core.schedule(
                 latency,
-                Event::CtrlToController(Box::new(CtrlDelivery {
+                Event::CtrlToController {
                     dpid: *dpid,
                     msg: OfMessage::Hello,
-                })),
+                },
             );
             sim.core.schedule(
                 latency,
-                Event::CtrlToController(Box::new(CtrlDelivery {
+                Event::CtrlToController {
                     dpid: *dpid,
                     msg: OfMessage::FeaturesReply { dpid: *dpid, ports },
-                })),
+                },
             );
             let tick = sw.expiry_tick;
             sim.core
@@ -602,25 +602,25 @@ impl Simulator {
     fn dispatch(&mut self, event: Event) {
         self.core.telemetry.counter_inc(event.kind());
         match event {
-            Event::DeliverToSwitch(d) => {
-                switch::handle_frame(&mut self.core, &mut self.net, d.dpid, d.port, d.frame);
+            Event::DeliverToSwitch { dpid, port, frame } => {
+                switch::handle_frame(&mut self.core, &mut self.net, dpid, port, frame);
             }
-            Event::DeliverToHost(d) => {
-                deliver_frame(&mut self.core, &mut self.net, d.host, d.frame);
+            Event::DeliverToHost { host, frame } => {
+                deliver_frame(&mut self.core, &mut self.net, host, frame);
             }
-            Event::DeliverOob(d) => {
+            Event::DeliverOob { to, from, frame } => {
                 self.net.trace.push(TraceEvent::OobRelay {
                     at: self.core.now(),
-                    from: d.from,
-                    to: d.to,
+                    from,
+                    to,
                 });
-                self.with_host_app(d.to, |app, ctx| app.on_oob_frame(ctx, d.from, d.frame));
+                self.with_host_app(to, |app, ctx| app.on_oob_frame(ctx, from, frame));
             }
-            Event::CtrlToSwitch(d) => {
-                switch::handle_ctrl(&mut self.core, &mut self.net, d.dpid, d.msg);
+            Event::CtrlToSwitch { dpid, msg } => {
+                switch::handle_ctrl(&mut self.core, &mut self.net, dpid, msg);
             }
-            Event::CtrlToController(d) => {
-                self.with_controller(|logic, ctx| logic.on_message(ctx, d.dpid, d.msg));
+            Event::CtrlToController { dpid, msg } => {
+                self.with_controller(|logic, ctx| logic.on_message(ctx, dpid, msg));
             }
             Event::ControllerTimer { id } => {
                 self.with_controller(|logic, ctx| {
@@ -633,14 +633,12 @@ impl Simulator {
             Event::SwitchExpiryTick { dpid } => {
                 switch::handle_expiry_tick(&mut self.core, &mut self.net, dpid);
             }
-            Event::PulseCheck(d) => {
-                switch::handle_pulse_check(
-                    &mut self.core,
-                    &mut self.net,
-                    d.dpid,
-                    d.port,
-                    d.down_epoch,
-                );
+            Event::PulseCheck {
+                dpid,
+                port,
+                down_epoch,
+            } => {
+                switch::handle_pulse_check(&mut self.core, &mut self.net, dpid, port, down_epoch);
             }
             Event::PulseCheckUp { dpid, port } => {
                 let host_up = match self
@@ -664,13 +662,16 @@ impl Simulator {
                     switch::declare_port_up(&mut self.core, &mut self.net, dpid, port);
                 }
             }
-            Event::HostIfaceUp(d) => {
-                let host = d.host;
+            Event::HostIfaceUp {
+                host,
+                epoch,
+                identity,
+            } => {
                 let current = match self.net.hosts.get(&host) {
                     Some(h) => h.up_epoch,
                     None => return,
                 };
-                if current != d.epoch {
+                if current != epoch {
                     return; // superseded by a later down/up cycle
                 }
                 {
@@ -679,7 +680,7 @@ impl Simulator {
                         net: &mut self.net,
                         host,
                     };
-                    ctx.complete_iface_up(d.identity);
+                    ctx.complete_iface_up(identity);
                 }
                 self.with_host_app(host, |app, ctx| app.on_iface_up(ctx));
             }

@@ -10,7 +10,7 @@ use openflow::{
 use sdn_types::packet::EthernetFrame;
 use sdn_types::{DatapathId, Duration, HostId, MacAddr, PortNo, SimTime};
 
-use crate::engine::{CtrlDelivery, Event, HostDelivery, SimCore, SwitchDelivery};
+use crate::engine::{Event, SimCore};
 use crate::link::LinkProfile;
 use crate::sim::NetState;
 use crate::trace::TraceEvent;
@@ -193,10 +193,7 @@ pub(crate) fn send_to_controller(
     // Control-channel congestion faults add queuing delay on the way up
     // (PacketIn direction).
     let latency = latency + net.faults.ctrl_extra_delay(dpid, &core.telemetry);
-    core.schedule(
-        latency,
-        Event::CtrlToController(Box::new(CtrlDelivery { dpid, msg })),
-    );
+    core.schedule(latency, Event::CtrlToController { dpid, msg });
 }
 
 /// Marks a port down at the physical layer and notifies the controller
@@ -345,18 +342,18 @@ pub(crate) fn emit_on_port(
             port: peer_port,
         } => core.schedule_at(
             at,
-            Event::DeliverToSwitch(Box::new(SwitchDelivery {
+            Event::DeliverToSwitch {
                 dpid: peer_dpid,
                 port: peer_port,
                 frame: frame.clone(),
-            })),
+            },
         ),
         Peer::Host { host } => core.schedule_at(
             at,
-            Event::DeliverToHost(Box::new(HostDelivery {
+            Event::DeliverToHost {
                 host,
                 frame: frame.clone(),
-            })),
+            },
         ),
     }
 }
@@ -571,10 +568,10 @@ pub(crate) fn handle_ctrl(
             };
             core.schedule(
                 processing + latency,
-                Event::CtrlToController(Box::new(CtrlDelivery {
+                Event::CtrlToController {
                     dpid,
                     msg: OfMessage::EchoReply { xid, payload },
-                })),
+                },
             );
         }
         OfMessage::FeaturesRequest => {
